@@ -12,8 +12,10 @@
 # deterministic per seed), an events-schema smoke (byte-identical
 # sdmmon-events-v1 replay), the v1-vs-v2 install differential, the
 # availability-vs-security frontier gate (byte-identical
-# sdmmon-frontier-v1 replay + monotone trade), and a
-# seeded 1k-router fleet deploy smoke (byte-identical replay; see
+# sdmmon-frontier-v1 replay + monotone trade), a
+# seeded 1k-router fleet deploy smoke (byte-identical replay), and a
+# short traced perfbench run per data-plane workload (every pass checked
+# against the serial oracles; see perfbench/README.md,
 # docs/TESTKIT.md, docs/PERF.md, docs/OBSERVABILITY.md,
 # docs/THREAT_RESPONSE.md, and docs/RESILIENCE.md §7).
 set -eux
@@ -216,3 +218,16 @@ for kind in ("fleet.relay_synced", "fleet.router_installed", "fleet.deploy_done"
 print(f"fleet ok: {report['installed']}/{report['routers']} installed, "
       f"{len(kinds)} fleet.* event kinds")
 PYEOF
+
+# Benchmark smoke: perfbench (its own package) checks every data-plane
+# pass — capacity, paced, and traced — against process_stream_serial and
+# exits 1 without a result on any divergence. A short traced run of each
+# data-plane workload keeps that check and the per-layer ledger in the
+# gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in fwd-bulk hijack-mix; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1 \
+        > "target/ci-perfbench-$workload.txt"
+    tail -n 1 "target/ci-perfbench-$workload.txt" | grep -q '"correct": true'
+done

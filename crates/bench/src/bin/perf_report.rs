@@ -418,7 +418,7 @@ fn sharded_section(
     rows: &mut Vec<Vec<String>>,
     json: &mut String,
 ) {
-    let report = sdmmon_bench::sharded::run(&ShardedConfig::new(quick, max_shards));
+    let report = sdmmon_bench::sharded::run(&ShardedConfig::new(quick, max_shards), None);
     let headline = report.headline();
     rows.push(vec![
         format!(

@@ -19,8 +19,8 @@
 //! tracing layer) against their in-tree reference oracles and writes the
 //! machine-readable `BENCH_PR10.json` at the repo root (schema
 //! `sdmmon-perf-report-v6`; the earlier `BENCH_PR*.json` files are the
-//! frozen artifacts of prior overhauls). `throughput_sharded` runs the
-//! [`sharded`] sweep standalone; the [`hashbench`] sweep also backs
+//! frozen artifacts of prior overhauls). The [`sharded`] sweep also
+//! backs `sdmmon bench`; the [`hashbench`] sweep also backs
 //! `sdmmon bench --hash`; the [`streaming`] scenario also backs
 //! `sdmmon stream`; the [`traceprof`] scenario attributes per-stage
 //! pipeline budgets from span traces and gates tracing overhead.

@@ -1,4 +1,4 @@
-//! The `throughput_sharded` scenario (PR 4): serial reference dispatch vs
+//! The sharded-engine scenario: serial reference dispatch vs
 //! the sharded batch engine, swept over shard counts, with byte-identity
 //! asserted on every timed run.
 //!
@@ -165,17 +165,14 @@ impl ShardedReport {
 /// compared against a reference result computed up front, and the final
 /// `NpStats` of every NP must match the serial twin exactly; any
 /// divergence panics rather than reporting a tainted number.
-pub fn run(cfg: &ShardedConfig) -> ShardedReport {
-    run_observed(cfg, None)
-}
-
-/// [`run`] with an optional event bus attached to every timed NP: each
-/// batch then emits its `np.batch` telemetry event (shard count, packet
-/// count, queue imbalance). Batch telemetry carries only logical
-/// quantities, so the stream is byte-identical per configuration even
-/// though the surrounding measurements are timed. `None` keeps the timed
-/// loop free of any event plumbing (the default `sdmmon bench` gate).
-pub fn run_observed(
+///
+/// With `bus` attached to every timed NP, each batch also emits its
+/// `np.batch` telemetry event (shard count, packet count, queue
+/// imbalance). Batch telemetry carries only logical quantities, so the
+/// stream is byte-identical per configuration even though the
+/// surrounding measurements are timed. `None` keeps the timed loop free
+/// of any event plumbing (the default `sdmmon bench` gate).
+pub fn run(
     cfg: &ShardedConfig,
     bus: Option<&std::sync::Arc<sdmmon_obs::EventBus>>,
 ) -> ShardedReport {
@@ -276,7 +273,7 @@ mod tests {
             repeats: 1,
             shard_counts: vec![1, 2],
         };
-        let report = run(&cfg);
+        let report = run(&cfg, None);
         assert_eq!(report.sweep.len(), 2);
         assert_eq!(report.headline().shards, 2);
         assert!(report.serial_pps > 0.0);

@@ -34,7 +34,6 @@
 //! retains a prefix for traffic-level assertions in tests).
 
 use crate::entities::{FleetUpdate, Manufacturer, NetworkOperator, RouterDevice};
-use crate::system::Fleet;
 use crate::wire2::{BundleV2, Section, SectionTag, TlvBundle, HEADER_LEN, TABLE_ENTRY_LEN};
 use crate::SdmmonError;
 use sdmmon_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -805,25 +804,6 @@ pub fn deploy_fleet_traced(
         );
     }
     Ok(report)
-}
-
-impl Fleet {
-    /// Drives the hierarchical operator → relay → router tree — the
-    /// fleet-scale counterpart of [`Fleet::deploy_resilient`], which
-    /// serves every router from one origin. Delegates to [`deploy_fleet`];
-    /// deterministic per `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`deploy_fleet`].
-    pub fn deploy_resilient_tree(
-        config: &FleetDeployConfig,
-        program: &Program,
-        seed: u64,
-        bus: Option<&EventBus>,
-    ) -> Result<FleetScaleReport, SdmmonError> {
-        deploy_fleet(config, program, seed, bus)
-    }
 }
 
 #[cfg(test)]

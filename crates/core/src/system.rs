@@ -391,6 +391,18 @@ impl Fleet {
     /// is byte-identical to a fully serial deployment: a given (rng,
     /// server-seed, config) triple replays byte-identically.
     ///
+    /// When `bus` is attached, the serial download/install phase narrates
+    /// each router's state machine as structured events — one
+    /// `deploy.cycle` per download + verify + install cycle, the download
+    /// attempt timeline via
+    /// [`DownloadReport::to_events`](sdmmon_net::download::DownloadReport::to_events),
+    /// `deploy.verify_failed` for rejected bundles, and a terminal
+    /// `deploy.installed` or `deploy.quarantined`. Every event's logical
+    /// clock is the flaky server's transport-attempt count (the fault
+    /// clock), which the serial router-index ordering makes deterministic,
+    /// so the stream replays byte-identically too. Fleet counters are
+    /// recorded on the global metrics registry either way.
+    ///
     /// # Errors
     ///
     /// Returns an error only for *systemic* failures (provisioning or
@@ -398,44 +410,6 @@ impl Fleet {
     /// verification failures never error; they end in quarantine records.
     #[allow(clippy::too_many_arguments)]
     pub fn deploy_resilient<R: RngCore + ?Sized>(
-        manufacturer: &Manufacturer,
-        operator: &NetworkOperator,
-        program: &Program,
-        count: usize,
-        cores_each: usize,
-        key_bits: usize,
-        server: &mut FlakyServer,
-        config: &ResilientConfig,
-        rng: &mut R,
-    ) -> Result<ResilientFleet, SdmmonError> {
-        Fleet::deploy_resilient_observed(
-            manufacturer,
-            operator,
-            program,
-            count,
-            cores_each,
-            key_bits,
-            server,
-            config,
-            rng,
-            None,
-        )
-    }
-
-    /// [`Fleet::deploy_resilient`] with an optional observability bus: when
-    /// `bus` is attached, the serial download/install phase narrates each
-    /// router's state machine as structured events — one `deploy.cycle` per
-    /// download + verify + install cycle, the download attempt timeline via
-    /// [`DownloadReport::to_events`](sdmmon_net::download::DownloadReport::to_events),
-    /// `deploy.verify_failed` for rejected bundles, and a terminal
-    /// `deploy.installed` or `deploy.quarantined`. Every event's logical
-    /// clock is the flaky server's transport-attempt count (the fault
-    /// clock), which the serial router-index ordering makes deterministic,
-    /// so the stream replays byte-identically per (rng, server-seed,
-    /// config). Fleet counters are recorded on the global metrics registry
-    /// either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_resilient_observed<R: RngCore + ?Sized>(
         manufacturer: &Manufacturer,
         operator: &NetworkOperator,
         program: &Program,
@@ -1055,6 +1029,7 @@ mod tests {
             &mut server,
             &config,
             &mut rng,
+            None,
         )
         .unwrap();
         (result, server.stats().attempts)
@@ -1151,6 +1126,7 @@ mod tests {
             &mut server,
             &config,
             &mut rng,
+            None,
         )
         .unwrap();
         assert_eq!(result.installed(), 3);

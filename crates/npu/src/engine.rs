@@ -1,6 +1,7 @@
-//! The sharded data-plane engine: a persistent worker pool plus the
-//! per-shard bookkeeping [`crate::np::NetworkProcessor::process_batch`]
-//! runs on.
+//! The data-plane engine's building blocks: the persistent worker pool,
+//! owner plans (which worker runs which core's queue), bounded ingress
+//! admission, and the flow-dispatch table that
+//! [`crate::np::NetworkProcessor`]'s one executor runs on.
 //!
 //! PR 1 measured `batch_speedup: 0.874` — parallel batches *lost* to
 //! serial dispatch — because every `process_batch` call paid
@@ -17,12 +18,14 @@
 //!   the serial dispatcher uses, **before** any worker runs; each core's
 //!   queue preserves input order, so per-flow order is preserved (a flow
 //!   sticks to one core).
-//! - Each shard owns a disjoint, contiguous range of cores and walks its
-//!   cores in index order; no slot is ever touched by two workers.
-//! - Per-shard counters live in cache-padded atomics ([`ShardStats`]) and
-//!   are rolled up into [`crate::np::NpStats`] **by shard index** after
-//!   the batch barrier, so the aggregate is byte-identical to the serial
-//!   fold for any seed and any shard count.
+//! - An owner plan gives every core to exactly one worker: the static
+//!   [`shard_of`] plan (disjoint, contiguous [`shard_spans`]) for batches,
+//!   the [`steal_plan`] for stream rounds. No slot is ever touched by two
+//!   workers.
+//! - Workers return outcomes tagged with their input index and events
+//!   stamped with their packet's clock; the caller merges both and folds
+//!   [`crate::np::NpStats`] after the batch barrier, so the aggregate is
+//!   byte-identical to the serial fold for any seed and any shard count.
 //!
 //! The streaming front end (PR 9) adds two pieces on the same contract:
 //! [`IngressQueues`], bounded per-shard admission with backpressure
@@ -31,8 +34,6 @@
 //! re-homed to an early-draining shard, so outcomes stay byte-identical to
 //! the serial oracle while skewed traces still balance.
 
-use crate::runtime::{HaltReason, PacketOutcome, Verdict};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::thread::JoinHandle;
 
@@ -415,68 +416,10 @@ pub fn steal_plan(loads: &[usize], shards: usize) -> (Vec<usize>, u64) {
     (owner, steals)
 }
 
-/// Per-shard outcome counters in one cache line.
-///
-/// Each shard's worker is the only writer (relaxed adds, uncontended); the
-/// dispatcher rolls all shards up **in shard-index order** after the batch
-/// barrier, so false sharing never costs a bounce and the aggregate is
-/// reproducible. The fields mirror the outcome-derived half of
-/// [`crate::np::NpStats`] (redeploys/quarantines are read from the
-/// supervisor ledgers, not counted here).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct ShardStats {
-    processed: AtomicU64,
-    forwarded: AtomicU64,
-    dropped: AtomicU64,
-    violations: AtomicU64,
-    faults: AtomicU64,
-    recoveries: AtomicU64,
-}
-
-impl ShardStats {
-    /// Folds one packet outcome, exactly mirroring the serial
-    /// `NpStats::record` branch structure.
-    pub fn record(&self, outcome: &PacketOutcome) {
-        self.processed.fetch_add(1, Ordering::Relaxed);
-        match outcome.halt {
-            HaltReason::Completed => {}
-            HaltReason::MonitorViolation => {
-                self.violations.fetch_add(1, Ordering::Relaxed);
-            }
-            HaltReason::Fault(_) | HaltReason::StepLimit => {
-                self.faults.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if outcome.halt.is_clean() {
-            match outcome.verdict {
-                Verdict::Drop => self.dropped.fetch_add(1, Ordering::Relaxed),
-                Verdict::Forward(_) => self.forwarded.fetch_add(1, Ordering::Relaxed),
-            };
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.recoveries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drains the counters as `(processed, forwarded, dropped, violations,
-    /// faults, recoveries)`, resetting them for the next batch.
-    pub fn take(&self) -> (u64, u64, u64, u64, u64, u64) {
-        (
-            self.processed.swap(0, Ordering::Relaxed),
-            self.forwarded.swap(0, Ordering::Relaxed),
-            self.dropped.swap(0, Ordering::Relaxed),
-            self.violations.swap(0, Ordering::Relaxed),
-            self.faults.swap(0, Ordering::Relaxed),
-            self.recoveries.swap(0, Ordering::Relaxed),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn spans_cover_cores_exactly_once() {
@@ -683,32 +626,5 @@ mod tests {
                 "stealing made shards={shards} worse"
             );
         }
-    }
-
-    #[test]
-    fn shard_stats_mirror_serial_record() {
-        use crate::runtime::{HaltReason, PacketOutcome, Verdict};
-        let stats = ShardStats::default();
-        let fwd = PacketOutcome {
-            verdict: Verdict::Forward(3),
-            steps: 10,
-            halt: HaltReason::Completed,
-        };
-        let drop = PacketOutcome {
-            verdict: Verdict::Drop,
-            steps: 10,
-            halt: HaltReason::Completed,
-        };
-        let violation = PacketOutcome {
-            verdict: Verdict::Drop,
-            steps: 4,
-            halt: HaltReason::MonitorViolation,
-        };
-        stats.record(&fwd);
-        stats.record(&fwd);
-        stats.record(&drop);
-        stats.record(&violation);
-        assert_eq!(stats.take(), (4, 2, 2, 1, 0, 1));
-        assert_eq!(stats.take(), (0, 0, 0, 0, 0, 0), "take drains");
     }
 }

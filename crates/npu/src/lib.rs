@@ -13,10 +13,11 @@
 //! * [`np::NetworkProcessor`] — a multicore NP with per-core observers,
 //!   dispatching packets and applying the paper's detect → drop → reset
 //!   recovery
-//! * [`engine`] — the sharded batch engine behind
-//!   [`np::NetworkProcessor::process_batch`]: a persistent worker pool,
-//!   disjoint shard-owned core ranges, and cache-padded per-shard counters
-//!   rolled up deterministically by shard index
+//! * [`engine`] — the building blocks of the NP's one executor behind
+//!   [`np::NetworkProcessor::process_batch`] and
+//!   [`np::NetworkProcessor::process_stream`]: a persistent worker pool,
+//!   owner plans (static shard spans and whole-queue steal plans), and
+//!   bounded ingress admission
 //! * [`supervisor`] — the runtime escalation ladder above that recovery:
 //!   redeploy a core from its last-known-good image after repeated unclean
 //!   halts, quarantine it out of dispatch after repeated redeploys

@@ -1,19 +1,29 @@
 //! The multicore network processor: several cores with per-core execution
-//! observers, round-robin packet dispatch, and the paper's recovery policy
-//! (detect → drop packet → reset core → continue with the next packet),
-//! optionally escalated by the [`crate::supervisor`] — the structural
-//! strike ladder (redeploy after repeated recoveries, quarantine after
-//! repeated redeploys) plus the adaptive graded response table (alert →
-//! throttle a core's dispatch share → quarantine → zeroize its wrapped key
-//! and latch NP lockdown), with timed parole restoring throttled and
-//! quarantined cores after clean batches and a bounded per-core forensic
-//! ring flushed as `supervisor.forensic` events on escalation.
+//! observers, round-robin and flow-affinity dispatch, and the paper's
+//! recovery policy (detect → drop packet → reset core → continue with the
+//! next packet), optionally escalated by the [`crate::supervisor`] — the
+//! structural strike ladder (redeploy after repeated recoveries,
+//! quarantine after repeated redeploys) plus the adaptive graded response
+//! table (alert → throttle a core's dispatch share → quarantine → zeroize
+//! its wrapped key and latch NP lockdown), with timed parole restoring
+//! throttled and quarantined cores after clean batches and a bounded
+//! per-core forensic ring flushed as `supervisor.forensic` events on
+//! escalation.
+//!
+//! Every packet, whichever entry point admits it, runs through one body,
+//! `Slot::step`: dispatch (the fused per-packet path or the
+//! per-instruction reference oracle), supervisor settle, the forensic
+//! ring, escalation events, and trace spans. Batches and stream rounds run
+//! through one executor, `NetworkProcessor::execute`, which hands each
+//! core's queue to the worker an *owner plan* names — the static
+//! [`shard_of`] plan for [`NetworkProcessor::process_batch`], the
+//! [`steal_plan`] for [`NetworkProcessor::process_stream`], one inline
+//! worker for the serial oracles — then merges events by clock and
+//! outcomes by input index and folds [`NpStats`] on the caller.
 
 use crate::core::{Core, RETIRE_BLOCK};
 use crate::cpu::{ExecutionObserver, NullObserver};
-use crate::engine::{
-    dispatch_slots, shard_spans, steal_plan, IngressQueues, ShardStats, WorkerPool,
-};
+use crate::engine::{dispatch_slots, shard_of, shard_spans, steal_plan, IngressQueues, WorkerPool};
 use crate::runtime::{HaltReason, PacketOutcome};
 use crate::supervisor::{CoreHealth, Parole, SupervisorAction, SupervisorPolicy};
 use sdmmon_obs::trace::{self, TraceContext};
@@ -81,7 +91,7 @@ impl NpStats {
     }
 
     /// Folds one packet outcome into the counters (recovery is implied by
-    /// any unclean halt — see [`Slot::run`]).
+    /// any unclean halt — see [`Slot::settle`]).
     fn record(&mut self, outcome: &PacketOutcome) {
         self.processed += 1;
         match outcome.halt {
@@ -155,52 +165,97 @@ struct Slot {
     flight: VecDeque<FlightRecord>,
 }
 
-impl Slot {
-    /// Runs one packet on this core, applying the recovery policy (reset
-    /// after any unclean halt) and the supervisor ladder, but not touching
-    /// the NP-wide stats. This is the reference per-instruction-dispatch
-    /// path (one virtual `observe` call per retired instruction); the batch
-    /// engine goes through [`Slot::run_fused`] instead.
-    fn run(
-        &mut self,
-        packet: &[u8],
-        policy: &SupervisorPolicy,
-    ) -> (PacketOutcome, Option<SupervisorAction>) {
-        let outcome = self.core.process_packet(packet, self.observer.as_mut());
-        self.settle(outcome, policy)
-    }
-
-    /// Like [`Slot::run`] but dispatches the whole packet through
-    /// [`ExecutionObserver::run_packet`]: one virtual call per packet, so
+/// Which per-packet dispatch path a pass uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DispatchPath {
+    /// [`ExecutionObserver::run_packet`] — one virtual call per packet, so
     /// observers with a monomorphized fast path (the hardware monitor) run
-    /// it. Outcomes are identical to [`Slot::run`] by the trait's contract;
-    /// the determinism tests and testkit differentials pin that.
-    fn run_fused(
+    /// it.
+    Fused,
+    /// [`Core::process_packet`] via `&mut dyn` — one virtual call per
+    /// retired instruction; the oracle path. Outcomes equal the fused
+    /// path's by the trait's contract, which the determinism tests and the
+    /// testkit differentials pin.
+    Reference,
+}
+
+/// What every packet of one execution pass shares; workers read it by
+/// reference.
+#[derive(Debug)]
+struct Pass {
+    policy: SupervisorPolicy,
+    /// Clock of input index 0: the NP's processed count at entry.
+    base_clock: u64,
+    /// Whether an event bus is attached (escalation events are buffered).
+    record_events: bool,
+    /// Span context; `None` unless tracing is on and a bus is attached.
+    trace: Option<TraceContext>,
+    path: DispatchPath,
+}
+
+impl Slot {
+    /// Runs the packet at input index `i` of a pass, which sits at `qpos`
+    /// in this core's queue — the one per-packet body of every entry
+    /// point. Dispatches it on `pass.path`, settles it (recovery and the
+    /// supervisor), remembers it in the forensic ring, and buffers its
+    /// escalation events and trace spans into `events`. Every event is
+    /// stamped with the packet's clock, `base_clock + i`, so a stable
+    /// clock sort of any set of worker buffers yields one canonical
+    /// stream. The NP-wide stats are left to the caller.
+    fn step(
         &mut self,
+        pass: &Pass,
+        core: usize,
+        qpos: usize,
+        i: usize,
         packet: &[u8],
-        policy: &SupervisorPolicy,
+        events: &mut Vec<Event>,
     ) -> (PacketOutcome, Option<SupervisorAction>) {
-        let outcome = self.observer.run_packet(&mut self.core, packet);
-        self.settle(outcome, policy)
+        let outcome = match pass.path {
+            DispatchPath::Fused => self.observer.run_packet(&mut self.core, packet),
+            DispatchPath::Reference => self.core.process_packet(packet, self.observer.as_mut()),
+        };
+        let action = self.settle(&outcome, &pass.policy);
+        let clock = pass.base_clock + i as u64;
+        self.note_forensic(clock, &outcome, pass.policy.adaptive.forensic_window);
+        if let Some(action) = action.filter(|_| pass.record_events) {
+            if action >= SupervisorAction::Quarantine {
+                self.flush_forensics(clock, core, events);
+            }
+            events.extend(supervisor_event(action, clock, core, &self.health));
+        }
+        if let Some(tc) = &pass.trace {
+            self.note_trace(
+                tc,
+                packet,
+                clock,
+                core,
+                qpos as u64,
+                &outcome,
+                action,
+                events,
+            );
+        }
+        (outcome, action)
     }
 
-    /// Shared post-packet bookkeeping for both dispatch paths. Returns the
+    /// Post-packet bookkeeping for both dispatch paths. Returns the
     /// supervisor's verdict on an unclean halt (`None` for clean packets)
-    /// so the NP can turn ladder escalations into events; the process-wide
+    /// so [`Slot::step`] can turn escalations into events; the process-wide
     /// metrics are recorded here — a few relaxed atomic adds per packet,
     /// all commutative, so worker-thread interleaving cannot perturb a
     /// snapshot.
     fn settle(
         &mut self,
-        outcome: PacketOutcome,
+        outcome: &PacketOutcome,
         policy: &SupervisorPolicy,
-    ) -> (PacketOutcome, Option<SupervisorAction>) {
+    ) -> Option<SupervisorAction> {
         let m = metrics();
         m.inc(Counter::NpPackets);
         m.add(Counter::NpInstructionsRetired, outcome.steps);
         if outcome.halt.is_clean() {
             self.health.record_clean(policy);
-            return (outcome, None);
+            return None;
         }
         if matches!(outcome.halt, HaltReason::MonitorViolation) {
             m.inc(Counter::NpViolations);
@@ -224,7 +279,7 @@ impl Slot {
             SupervisorAction::Quarantine => m.inc(Counter::NpQuarantines),
             SupervisorAction::Zeroize => m.inc(Counter::NpZeroizes),
         }
-        (outcome, Some(action))
+        Some(action)
     }
 
     /// Remembers one settled packet in the forensic ring (no-op when the
@@ -399,15 +454,12 @@ pub struct NetworkProcessor {
     /// batch and kept across batches (the PR 1 regression was spawning
     /// per batch). `None` until then, or while `shards == 1`.
     pool: Option<WorkerPool>,
-    /// Cache-padded per-shard outcome counters, one per pool worker.
-    shard_stats: Vec<ShardStats>,
     /// Optional structured-event sink (see [`sdmmon_obs::EventBus`]).
     /// `None` — the default — is the no-op sink: no event is constructed
     /// anywhere on the packet path.
     bus: Option<Arc<EventBus>>,
     /// Optional causal span/trace context (see [`sdmmon_obs::trace`]).
-    /// Only consulted while a bus is attached; `Copy`, so the batch and
-    /// stream workers carry it by value.
+    /// Only consulted while a bus is attached.
     trace: Option<TraceContext>,
     /// Latched when any core receives a zeroize order (threat Critical):
     /// the control-plane signal that the NP should be pulled from service.
@@ -484,7 +536,6 @@ impl NetworkProcessor {
             policy,
             shards: default_shards(cores),
             pool: None,
-            shard_stats: Vec::new(),
             bus: None,
             trace: None,
             lockdown: false,
@@ -570,14 +621,15 @@ impl NetworkProcessor {
     }
 
     /// Wipes a zeroized core down to an unprogrammed state: fresh core,
-    /// null observer, forensic ring cleared. The supervisor ledger stands
-    /// (still quarantined, zeroize on record) so the core stays out of
-    /// dispatch until an operator re-installs a bundle on it.
+    /// null observer, forensic and flight rings cleared. The supervisor
+    /// ledger stands (still quarantined, zeroize on record) so the core
+    /// stays out of dispatch until an operator re-installs a bundle on it.
     pub fn decommission(&mut self, core: usize) {
         let slot = &mut self.slots[core];
         slot.core = Core::new();
         slot.observer = Box::new(NullObserver);
         slot.forensics.clear();
+        slot.flight.clear();
         slot.health.quarantined = true;
     }
 
@@ -601,7 +653,8 @@ impl NetworkProcessor {
     /// Installs a program and observer on one core (what the SDMMon control
     /// processor does after verifying a package for that core). Installing
     /// rehabilitates the core: its supervisor ledger — strikes, redeploys,
-    /// quarantine — is wiped and it rejoins dispatch.
+    /// quarantine — is wiped, its forensic and flight rings forget packets
+    /// that ran on the replaced image, and it rejoins dispatch.
     ///
     /// # Panics
     ///
@@ -618,6 +671,7 @@ impl NetworkProcessor {
         slot.observer = observer;
         slot.health.reinstated();
         slot.forensics.clear();
+        slot.flight.clear();
         // Lockdown lifts once no core has an outstanding zeroize on
         // record — the operator vouched for the re-installed core.
         self.lockdown = self.slots.iter().any(|s| s.health.zeroize_ordered);
@@ -740,33 +794,34 @@ impl NetworkProcessor {
     /// specific cores); the quarantine-respecting paths are
     /// [`NetworkProcessor::process`], [`NetworkProcessor::process_flow`],
     /// and [`NetworkProcessor::process_batch`].
+    ///
+    /// Runs on the reference dispatch path and emits no trace spans: the
+    /// span stream belongs to the batch and stream engines.
     pub fn process_on(&mut self, index: usize, packet: &[u8]) -> PacketOutcome {
-        let policy = self.policy;
-        let clock = self.stats.processed;
-        let (outcome, action) = self.slots[index].run(packet, &policy);
+        let pass = self.pass(DispatchPath::Reference, None);
+        let mut events = Vec::new();
+        let (outcome, action) = self.slots[index].step(&pass, index, 0, 0, packet, &mut events);
         self.stats.record(&outcome);
-        self.slots[index].note_forensic(clock, &outcome, policy.adaptive.forensic_window);
-        if let Some(action) = action {
-            if self.bus.is_some() {
-                let mut events = Vec::new();
-                if action >= SupervisorAction::Quarantine {
-                    self.slots[index].flush_forensics(clock, index, &mut events);
-                }
-                events.extend(supervisor_event(
-                    action,
-                    clock,
-                    index,
-                    &self.slots[index].health,
-                ));
-                if let Some(bus) = &self.bus {
-                    bus.extend(events);
-                }
-            }
-            if action == SupervisorAction::Zeroize {
-                self.latch_lockdown(clock);
-            }
+        if let Some(bus) = self.bus.as_ref().filter(|_| !events.is_empty()) {
+            bus.extend(events);
+        }
+        if action == Some(SupervisorAction::Zeroize) {
+            self.latch_lockdown(pass.base_clock);
         }
         outcome
+    }
+
+    /// The context of a pass starting at the NP's current clock. `trace`
+    /// applies only while a bus is attached.
+    fn pass(&self, path: DispatchPath, trace: Option<TraceContext>) -> Pass {
+        let record_events = self.bus.is_some();
+        Pass {
+            policy: self.policy,
+            base_clock: self.stats.processed,
+            record_events,
+            trace: trace.filter(|_| record_events),
+            path,
+        }
     }
 
     /// Latches NP lockdown (once) and emits the `supervisor.lockdown`
@@ -809,7 +864,6 @@ impl NetworkProcessor {
             // Tear the pool down now; the next batch respawns at the new
             // width. (Dropping joins the workers.)
             self.pool = None;
-            self.shard_stats = Vec::new();
         }
     }
 
@@ -847,12 +901,12 @@ impl NetworkProcessor {
     ///
     /// Packets are partitioned by flow (same mapping as
     /// [`NetworkProcessor::process_flow`]), the cores are split into
-    /// [`NetworkProcessor::shards`] disjoint contiguous shards, and each
-    /// shard works through its cores' queues on a persistent worker thread
-    /// (spawned once, reused across batches, joined on drop — see
-    /// [`crate::engine`]). Per-shard counters accumulate in cache-padded
-    /// atomics and are rolled up into [`NpStats`] by shard index after the
-    /// batch barrier. The merged result preserves the input order.
+    /// [`NetworkProcessor::shards`] disjoint contiguous shards (the static
+    /// [`shard_of`] owner plan), and each shard works through its cores'
+    /// queues on a persistent worker thread (spawned once, reused across
+    /// batches, joined on drop — see [`crate::engine`]). Outcomes merge
+    /// back into input order and [`NpStats`] is folded on the caller after
+    /// the batch barrier.
     ///
     /// Because flow→core assignment is independent of the shard count and
     /// each core's queue runs in input order on exactly one worker,
@@ -875,131 +929,14 @@ impl NetworkProcessor {
     /// core is quarantined.
     pub fn process_batch(&mut self, packets: &[Vec<u8>]) -> Vec<(usize, PacketOutcome)> {
         let queues = self.partition(packets);
-        let shards = self.shards.clamp(1, self.slots.len());
+        let cores = self.slots.len();
+        let shards = self.shards.clamp(1, cores);
         self.note_queue_depths(&queues);
         self.record_batch_telemetry(packets.len(), &queues, shards);
-        if shards == 1 || packets.is_empty() {
-            let merged = self.run_queues_inline(packets, &queues, DispatchPath::Fused);
-            self.finish_batch();
-            return merged;
-        }
-
-        if self.pool.as_ref().is_none_or(|p| p.len() != shards) {
-            self.pool = Some(WorkerPool::new(shards));
-            self.shard_stats = (0..shards).map(|_| ShardStats::default()).collect();
-        }
-        let pool = self.pool.as_ref().expect("pool just ensured");
-        let spans = shard_spans(self.slots.len(), shards);
-        let policy = self.policy;
-        let base_clock = self.stats.processed;
-        let record_events = self.bus.is_some();
-        let trace = if record_events { self.trace } else { None };
-        let shard_stats = &self.shard_stats;
-
-        // One result buffer per shard; workers never share a buffer, and
-        // input indices are globally unique, so the merge below is
-        // order-independent across shards.
-        let mut results: Vec<Vec<(usize, usize, PacketOutcome)>> = spans
-            .iter()
-            .map(|span| {
-                let load: usize = queues[span.start..span.end].iter().map(Vec::len).sum();
-                Vec::with_capacity(load)
-            })
-            .collect();
-        // Per-shard event buffers, absorbed in packet order after the
-        // barrier — the event-stream twin of the ShardStats rollup.
-        let mut shard_events: Vec<Vec<Event>> = (0..shards).map(|_| Vec::new()).collect();
-        {
-            // Split the slot array into per-shard disjoint chunks.
-            let mut rest: &mut [Slot] = &mut self.slots;
-            let mut chunks: Vec<&mut [Slot]> = Vec::with_capacity(shards);
-            let mut consumed = 0;
-            for span in &spans {
-                let (chunk, tail) = rest.split_at_mut(span.end - consumed);
-                chunks.push(chunk);
-                rest = tail;
-                consumed = span.end;
-            }
-            let queues = &queues;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                .into_iter()
-                .zip(&spans)
-                .zip(results.iter_mut().zip(shard_events.iter_mut()))
-                .enumerate()
-                .map(|(shard_index, ((chunk, span), (out, events)))| {
-                    let span = *span;
-                    let stats = &shard_stats[shard_index];
-                    Box::new(move || {
-                        for (local, slot) in chunk.iter_mut().enumerate() {
-                            let core_index = span.start + local;
-                            for (qpos, &i) in queues[core_index].iter().enumerate() {
-                                let (outcome, action) = slot.run_fused(&packets[i], &policy);
-                                stats.record(&outcome);
-                                // Clock = the packet's batch-wide ordinal,
-                                // independent of sharding.
-                                let clock = base_clock + i as u64;
-                                slot.note_forensic(
-                                    clock,
-                                    &outcome,
-                                    policy.adaptive.forensic_window,
-                                );
-                                if record_events {
-                                    if let Some(action) = action {
-                                        if action >= SupervisorAction::Quarantine {
-                                            slot.flush_forensics(clock, core_index, events);
-                                        }
-                                        events.extend(supervisor_event(
-                                            action,
-                                            clock,
-                                            core_index,
-                                            &slot.health,
-                                        ));
-                                    }
-                                }
-                                if let Some(tc) = &trace {
-                                    slot.note_trace(
-                                        tc,
-                                        &packets[i],
-                                        clock,
-                                        core_index,
-                                        qpos as u64,
-                                        &outcome,
-                                        action,
-                                        events,
-                                    );
-                                }
-                                out.push((i, core_index, outcome));
-                            }
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_batch(jobs);
-        }
-        if let Some(bus) = &self.bus {
-            // Merge by logical clock (= input index, globally unique), so
-            // the stream is identical for every shard count — and to the
-            // inline/serial paths.
-            let mut events: Vec<Event> = shard_events.into_iter().flatten().collect();
-            events.sort_by_key(|e| e.clock);
-            bus.extend(events);
-        }
-
-        // Merge outcomes back into input order (indices are globally
-        // unique, so cross-shard iteration order cannot matter), then roll
-        // the padded per-shard counters up by shard index.
-        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
-        for outcomes in &results {
-            for &(i, core_index, outcome) in outcomes {
-                merged[i] = Some((core_index, outcome));
-            }
-        }
-        self.rollup_shard_stats();
+        let owner: Vec<usize> = (0..cores).map(|c| shard_of(c, cores, shards)).collect();
+        let merged = self.execute(packets, &queues, &owner, shards, DispatchPath::Fused);
         self.finish_batch();
         merged
-            .into_iter()
-            .map(|m| m.expect("every packet was dispatched"))
-            .collect()
     }
 
     /// The serial oracle for [`NetworkProcessor::process_batch`]: identical
@@ -1015,76 +952,99 @@ impl NetworkProcessor {
     pub fn process_batch_serial(&mut self, packets: &[Vec<u8>]) -> Vec<(usize, PacketOutcome)> {
         let queues = self.partition(packets);
         self.note_queue_depths(&queues);
-        let merged = self.run_queues_inline(packets, &queues, DispatchPath::Reference);
+        let merged = self.execute(packets, &queues, &[], 1, DispatchPath::Reference);
         self.finish_batch();
         merged
     }
 
-    /// Runs pre-partitioned queues on the caller thread, in core-index
-    /// order, and merges back to input order.
-    fn run_queues_inline(
+    /// The one data-plane executor behind every batch and stream round.
+    ///
+    /// Runs each core's queue of indices into `packets` on the worker
+    /// `owner[core]` names: ascending core order within a worker and each
+    /// queue in input order, so no slot is touched by two workers and
+    /// per-flow order holds. One worker (or an empty pass) runs inline on
+    /// the caller and ignores `owner`; more run on the persistent
+    /// [`WorkerPool`], each slot handed over by `&mut` borrow.
+    ///
+    /// Worker event buffers merge by a stable sort on the packet clock — a
+    /// packet's events are contiguous in its worker's buffer and clocks are
+    /// unique per packet — and outcomes merge by input index, so the
+    /// result, the event stream, and the [`NpStats`] folded here are the
+    /// same for every owner plan and worker count.
+    fn execute(
         &mut self,
         packets: &[Vec<u8>],
         queues: &[Vec<usize>],
+        owner: &[usize],
+        workers: usize,
         path: DispatchPath,
     ) -> Vec<(usize, PacketOutcome)> {
-        let policy = self.policy;
-        let base_clock = self.stats.processed;
-        let record_events = self.bus.is_some();
-        let trace = if record_events { self.trace } else { None };
-        let mut events: Vec<Event> = Vec::new();
-        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
-        for (core_index, queue) in queues.iter().enumerate() {
-            let slot = &mut self.slots[core_index];
-            for (qpos, &i) in queue.iter().enumerate() {
-                let (outcome, action) = match path {
-                    DispatchPath::Fused => slot.run_fused(&packets[i], &policy),
-                    DispatchPath::Reference => slot.run(&packets[i], &policy),
-                };
-                let clock = base_clock + i as u64;
-                slot.note_forensic(clock, &outcome, policy.adaptive.forensic_window);
-                if record_events {
-                    if let Some(action) = action {
-                        if action >= SupervisorAction::Quarantine {
-                            slot.flush_forensics(clock, core_index, &mut events);
-                        }
-                        events.extend(supervisor_event(action, clock, core_index, &slot.health));
-                    }
+        let pass = self.pass(path, self.trace);
+        let workers = if packets.is_empty() { 1 } else { workers };
+        if workers > 1 && self.pool.as_ref().is_none_or(|p| p.len() != workers) {
+            self.pool = Some(WorkerPool::new(workers));
+        }
+        let mut groups: Vec<Vec<(usize, &mut Slot)>> = (0..workers).map(|_| Vec::new()).collect();
+        for (core, slot) in self.slots.iter_mut().enumerate() {
+            groups[if workers == 1 { 0 } else { owner[core] }].push((core, slot));
+        }
+        // One output buffer per worker, pre-sized by its queue load; input
+        // indices are globally unique, so the merge below cannot depend on
+        // which worker ran which core.
+        let mut outs: Vec<Vec<(usize, usize, PacketOutcome)>> = groups
+            .iter()
+            .map(|group| Vec::with_capacity(group.iter().map(|(c, _)| queues[*c].len()).sum()))
+            .collect();
+        let mut buffers: Vec<Vec<Event>> = (0..workers).map(|_| Vec::new()).collect();
+        let run = |group: &mut Vec<(usize, &mut Slot)>,
+                   out: &mut Vec<(usize, usize, PacketOutcome)>,
+                   events: &mut Vec<Event>| {
+            for (core, slot) in group.iter_mut() {
+                for (qpos, &i) in queues[*core].iter().enumerate() {
+                    let (outcome, _) = slot.step(&pass, *core, qpos, i, &packets[i], events);
+                    out.push((i, *core, outcome));
                 }
-                if let Some(tc) = &trace {
-                    slot.note_trace(
-                        tc,
-                        &packets[i],
-                        clock,
-                        core_index,
-                        qpos as u64,
-                        &outcome,
-                        action,
-                        &mut events,
-                    );
-                }
-                merged[i] = Some((core_index, outcome));
             }
+        };
+        if workers == 1 {
+            run(&mut groups[0], &mut outs[0], &mut buffers[0]);
+        } else {
+            let run = &run;
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = groups
+                .iter_mut()
+                .zip(outs.iter_mut().zip(buffers.iter_mut()))
+                .map(|(group, (out, events))| {
+                    Box::new(move || run(group, out, events)) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            self.pool
+                .as_ref()
+                .expect("pool just ensured")
+                .run_batch(jobs);
         }
         if let Some(bus) = &self.bus {
-            // Same packet-ordinal merge as the sharded path, so serial,
-            // inline, and sharded runs emit one identical stream.
+            let mut events: Vec<Event> = buffers.into_iter().flatten().collect();
             events.sort_by_key(|e| e.clock);
             bus.extend(events);
         }
-        let merged: Vec<(usize, PacketOutcome)> = merged
-            .into_iter()
-            .map(|m| m.expect("every packet was dispatched"))
-            .collect();
-        for (_, outcome) in &merged {
-            self.stats.record(outcome);
+        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
+        for (i, core, outcome) in outs.into_iter().flatten() {
+            merged[i] = Some((core, outcome));
         }
         merged
+            .into_iter()
+            .map(|m| {
+                let (core, outcome) = m.expect("every packet was dispatched");
+                self.stats.record(&outcome);
+                (core, outcome)
+            })
+            .collect()
     }
 
     /// Records the per-batch gauges (shard queue depths, imbalance) and —
-    /// when a bus is attached — one `np.batch` event. Shared by the
-    /// sharded and inline batch paths.
+    /// when a bus is attached — one `np.batch` event. Shared by
+    /// [`NetworkProcessor::process_batch`] and
+    /// [`NetworkProcessor::process_stream`]; the serial oracles skip it.
     fn record_batch_telemetry(&self, packets: usize, queues: &[Vec<usize>], shards: usize) {
         let m = metrics();
         m.inc(Counter::NpBatches);
@@ -1149,20 +1109,6 @@ impl NetworkProcessor {
         }
         if self.slots.iter().any(|s| s.health.zeroize_ordered) {
             self.latch_lockdown(clock);
-        }
-    }
-
-    /// Folds the drained per-shard counters into the NP-wide stats, in
-    /// shard-index order.
-    fn rollup_shard_stats(&mut self) {
-        for stats in &self.shard_stats {
-            let (processed, forwarded, dropped, violations, faults, recoveries) = stats.take();
-            self.stats.processed += processed;
-            self.stats.forwarded += forwarded;
-            self.stats.dropped += dropped;
-            self.stats.violations += violations;
-            self.stats.faults += faults;
-            self.stats.recoveries += recoveries;
         }
     }
 
@@ -1264,12 +1210,13 @@ impl NetworkProcessor {
     /// [`StreamConfig::shard_capacity`] per shard per round; overflow is
     /// dropped and counted, which is where backpressure from an
     /// uncooperative source becomes visible. Admitted queues then run
-    /// exactly like [`NetworkProcessor::process_batch`], except that before
-    /// execution a [`steal_plan`] re-homes whole core queues from overloaded
-    /// shards to underloaded ones. A queue moves *whole* — a flow is never
-    /// split across workers — so every core's queue still runs contiguously
-    /// in input order on exactly one worker, and the steal plan is a pure
-    /// function of queue loads, so the whole run replays exactly.
+    /// exactly like [`NetworkProcessor::process_batch`], except that the
+    /// owner plan is the round's [`steal_plan`], which re-homes whole core
+    /// queues from overloaded shards to underloaded ones. A queue moves
+    /// *whole* — a flow is never split across workers — so every core's
+    /// queue still runs contiguously in input order on exactly one worker,
+    /// and the steal plan is a pure function of queue loads, so the whole
+    /// run replays exactly.
     ///
     /// Consequently outcomes, [`NpStats`], and the supervisor event stream
     /// are byte-identical to [`NetworkProcessor::process_stream_serial`]
@@ -1285,6 +1232,38 @@ impl NetworkProcessor {
     /// Panics if a selected core has no program installed, if every core is
     /// quarantined, or if `cfg.shard_capacity` is zero.
     pub fn process_stream(&mut self, rounds: &[Vec<Vec<u8>>], cfg: &StreamConfig) -> StreamOutcome {
+        self.stream(rounds, cfg, DispatchPath::Fused)
+    }
+
+    /// The serial oracle for [`NetworkProcessor::process_stream`]: the same
+    /// admission loop (same [`IngressQueues`], same per-shard budgets for
+    /// the configured shard count), then each round's admitted queues run
+    /// inline on the caller through the reference per-instruction dispatch
+    /// path — no worker pool, no stealing, no batch telemetry. The
+    /// streaming determinism tests pin `process_stream` to this function
+    /// byte-for-byte: outcomes, [`NpStats`], and the event stream.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`NetworkProcessor::process_stream`].
+    pub fn process_stream_serial(
+        &mut self,
+        rounds: &[Vec<Vec<u8>>],
+        cfg: &StreamConfig,
+    ) -> StreamOutcome {
+        self.stream(rounds, cfg, DispatchPath::Reference)
+    }
+
+    /// The admission loop both stream entry points share; they differ only
+    /// in how a round executes. `Fused` records batch telemetry and runs
+    /// the round under its steal plan on the shard workers; `Reference` is
+    /// the serial oracle's single inline worker.
+    fn stream(
+        &mut self,
+        rounds: &[Vec<Vec<u8>>],
+        cfg: &StreamConfig,
+        path: DispatchPath,
+    ) -> StreamOutcome {
         let cores = self.slots.len();
         let shards = self.shards.clamp(1, cores);
         let mut ingress = IngressQueues::new(cores, shards, cfg.shard_capacity);
@@ -1311,14 +1290,15 @@ impl NetworkProcessor {
             }
             let queues = ingress.queues();
             self.note_queue_depths(queues);
-            self.record_batch_telemetry(admitted.len(), queues, shards);
-            let merged = if shards == 1 || admitted.is_empty() {
-                self.run_queues_inline(&admitted, queues, DispatchPath::Fused)
-            } else {
-                let (owner, steals) = steal_plan(&ingress.loads(), shards);
-                metrics().add(Counter::StreamSteals, steals);
-                steals_total += steals;
-                self.run_queues_stolen(&admitted, queues, &owner, shards)
+            let merged = match path {
+                DispatchPath::Fused => {
+                    self.record_batch_telemetry(admitted.len(), queues, shards);
+                    let (owner, steals) = steal_plan(&ingress.loads(), shards);
+                    metrics().add(Counter::StreamSteals, steals);
+                    steals_total += steals;
+                    self.execute(&admitted, queues, &owner, shards, path)
+                }
+                DispatchPath::Reference => self.execute(&admitted, queues, &[], 1, path),
             };
             self.finish_batch();
             for (local, (core, outcome)) in merged.into_iter().enumerate() {
@@ -1336,199 +1316,6 @@ impl NetworkProcessor {
             },
         }
     }
-
-    /// The serial oracle for [`NetworkProcessor::process_stream`]:
-    /// identical bounded admission (same [`IngressQueues`], same per-shard
-    /// budgets for the configured shard count), then each round's admitted
-    /// packets run through [`NetworkProcessor::process_batch_serial`] — the
-    /// reference per-instruction dispatch path, no worker pool, no
-    /// stealing. The streaming determinism tests pin `process_stream` to
-    /// this function byte-for-byte: outcomes, [`NpStats`], and the
-    /// supervisor event stream.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`NetworkProcessor::process_stream`].
-    pub fn process_stream_serial(
-        &mut self,
-        rounds: &[Vec<Vec<u8>>],
-        cfg: &StreamConfig,
-    ) -> StreamOutcome {
-        let cores = self.slots.len();
-        let shards = self.shards.clamp(1, cores);
-        let mut ingress = IngressQueues::new(cores, shards, cfg.shard_capacity);
-        let mut outcomes: Vec<Option<(usize, PacketOutcome)>> = Vec::new();
-        let trace = if self.bus.is_some() { self.trace } else { None };
-        for round in rounds {
-            ingress.clear_round();
-            let table = self.dispatch_table();
-            let mut trace_events: Vec<Event> = Vec::new();
-            let (admitted, offer_index) = Self::admit_round(
-                &table,
-                round,
-                &mut ingress,
-                &mut outcomes,
-                trace,
-                self.stats.processed,
-                &mut trace_events,
-            );
-            if !trace_events.is_empty() {
-                if let Some(bus) = &self.bus {
-                    bus.extend(trace_events);
-                }
-            }
-            // Re-partitioning inside `process_batch_serial` reproduces the
-            // ingress queues exactly: the dispatch table cannot change
-            // between admission and execution, and admission preserved
-            // offer order.
-            let merged = self.process_batch_serial(&admitted);
-            for (local, (core, outcome)) in merged.into_iter().enumerate() {
-                outcomes[offer_index[local]] = Some((core, outcome));
-            }
-        }
-        StreamOutcome {
-            outcomes,
-            report: StreamReport {
-                rounds: rounds.len() as u64,
-                offered: ingress.offered(),
-                admitted: ingress.admitted(),
-                dropped: ingress.dropped(),
-                steals: 0,
-            },
-        }
-    }
-
-    /// Runs pre-partitioned queues on the worker pool under a steal plan:
-    /// each worker owns the *whole queues* (and core slots) the plan
-    /// assigned it, which may be a non-contiguous core set. Slots travel to
-    /// their worker by move and come home by core index afterwards, so no
-    /// aliasing is possible. Events merge by packet-ordinal clock exactly
-    /// like [`NetworkProcessor::process_batch`] — a packet's event group is
-    /// contiguous within one worker's buffer and clocks are unique per
-    /// packet, so the stable sort yields one canonical stream regardless of
-    /// which worker ran which core.
-    fn run_queues_stolen(
-        &mut self,
-        packets: &[Vec<u8>],
-        queues: &[Vec<usize>],
-        owner: &[usize],
-        shards: usize,
-    ) -> Vec<(usize, PacketOutcome)> {
-        let cores = self.slots.len();
-        if self.pool.as_ref().is_none_or(|p| p.len() != shards) {
-            self.pool = Some(WorkerPool::new(shards));
-            self.shard_stats = (0..shards).map(|_| ShardStats::default()).collect();
-        }
-        let policy = self.policy;
-        let base_clock = self.stats.processed;
-        let record_events = self.bus.is_some();
-        let trace = if record_events { self.trace } else { None };
-
-        // Hand every core's slot to the worker the plan chose, ascending
-        // core order within each worker.
-        let mut worker_slots: Vec<Vec<(usize, Slot)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (core, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
-            worker_slots[owner[core]].push((core, slot));
-        }
-        let mut results: Vec<Vec<(usize, usize, PacketOutcome)>> = worker_slots
-            .iter()
-            .map(|mine| {
-                let load: usize = mine.iter().map(|(core, _)| queues[*core].len()).sum();
-                Vec::with_capacity(load)
-            })
-            .collect();
-        let mut shard_events: Vec<Vec<Event>> = (0..shards).map(|_| Vec::new()).collect();
-        {
-            let pool = self.pool.as_ref().expect("pool just ensured");
-            let shard_stats = &self.shard_stats;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = worker_slots
-                .iter_mut()
-                .zip(results.iter_mut().zip(shard_events.iter_mut()))
-                .enumerate()
-                .map(|(shard_index, (mine, (out, events)))| {
-                    let stats = &shard_stats[shard_index];
-                    Box::new(move || {
-                        for (core_index, slot) in mine.iter_mut() {
-                            let core_index = *core_index;
-                            for (qpos, &i) in queues[core_index].iter().enumerate() {
-                                let (outcome, action) = slot.run_fused(&packets[i], &policy);
-                                stats.record(&outcome);
-                                let clock = base_clock + i as u64;
-                                slot.note_forensic(
-                                    clock,
-                                    &outcome,
-                                    policy.adaptive.forensic_window,
-                                );
-                                if record_events {
-                                    if let Some(action) = action {
-                                        if action >= SupervisorAction::Quarantine {
-                                            slot.flush_forensics(clock, core_index, events);
-                                        }
-                                        events.extend(supervisor_event(
-                                            action,
-                                            clock,
-                                            core_index,
-                                            &slot.health,
-                                        ));
-                                    }
-                                }
-                                if let Some(tc) = &trace {
-                                    slot.note_trace(
-                                        tc,
-                                        &packets[i],
-                                        clock,
-                                        core_index,
-                                        qpos as u64,
-                                        &outcome,
-                                        action,
-                                        events,
-                                    );
-                                }
-                                out.push((i, core_index, outcome));
-                            }
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_batch(jobs);
-        }
-        if let Some(bus) = &self.bus {
-            let mut events: Vec<Event> = shard_events.into_iter().flatten().collect();
-            events.sort_by_key(|e| e.clock);
-            bus.extend(events);
-        }
-        // Every slot comes home to its core index.
-        let mut restored: Vec<Option<Slot>> = (0..cores).map(|_| None).collect();
-        for (core, slot) in worker_slots.into_iter().flatten() {
-            restored[core] = Some(slot);
-        }
-        self.slots = restored
-            .into_iter()
-            .map(|s| s.expect("every core's slot returns"))
-            .collect();
-
-        let mut merged: Vec<Option<(usize, PacketOutcome)>> = vec![None; packets.len()];
-        for outcomes in &results {
-            for &(i, core_index, outcome) in outcomes {
-                merged[i] = Some((core_index, outcome));
-            }
-        }
-        self.rollup_shard_stats();
-        merged
-            .into_iter()
-            .map(|m| m.expect("every admitted packet was dispatched"))
-            .collect()
-    }
-}
-
-/// Which per-packet dispatch path an inline queue run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DispatchPath {
-    /// [`ExecutionObserver::run_packet`] — one virtual call per packet.
-    Fused,
-    /// [`Core::process_packet`] via `&mut dyn` — one virtual call per
-    /// retired instruction; the oracle path.
-    Reference,
 }
 
 /// Streaming-engine knobs for [`NetworkProcessor::process_stream`].
@@ -2037,6 +1824,33 @@ mod tests {
             np.core_health(0).threat,
             crate::supervisor::ThreatLevel::None
         );
+    }
+
+    #[test]
+    fn reinstall_forgets_flight_records_of_the_replaced_image() {
+        // Nothing sampled: every packet lands in the flight ring.
+        let bus = Arc::new(EventBus::new());
+        let mut np = loaded_np(1);
+        np.set_event_bus(Some(bus.clone()));
+        np.set_trace(Some(TraceContext::new(7, 0)));
+        let attack = testing::hijack_packet("break 1").unwrap();
+        // `ipv4_forward` ignores the payload: both runs are clean.
+        let clean = np.process_batch(&[attack.clone(), attack.clone()]);
+        assert!(clean.iter().all(|(_, out)| out.halt.is_clean()));
+
+        // The replacement image is exploitable, so the same flow faults
+        // and is promoted — but only its packet on the new image.
+        let program = programs::vulnerable_forward().unwrap();
+        np.install(0, &program.to_bytes(), program.base, Box::new(NullObserver));
+        let (_, out) = np.process_batch(std::slice::from_ref(&attack))[0];
+        assert!(!out.halt.is_clean());
+        let flights: Vec<Event> = bus
+            .take()
+            .into_iter()
+            .filter(|e| e.kind == trace::KIND_FLIGHT)
+            .collect();
+        assert_eq!(flights.len(), 1, "stale flight records: {flights:?}");
+        assert_eq!(flights[0].clock, 2);
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //!   to [`NetworkProcessor::process_batch_serial`] — outcomes *and*
 //!   [`NpStats`] — for every shard count and seed, including a seed that
 //!   drives the supervisor through redeploy and quarantine mid-batch.
+//! * Traced determinism: with an event bus and a [`TraceContext`] at
+//!   sampling rates 0, 200 and 1000 per mille, the sharded engine emits
+//!   the serial oracle's event stream — supervisor events, spans, and
+//!   flight promotions — event for event.
 //! * Flow affinity: a 5-tuple never crosses shards, per-flow order is
 //!   preserved (observable through order-dependent core state), and the
 //!   flow hash spreads load within 2x of uniform.
@@ -14,7 +18,10 @@ use sdmmon_npu::np::{flow_hash, NetworkProcessor};
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::runtime::Verdict;
 use sdmmon_npu::supervisor::SupervisorPolicy;
+use sdmmon_obs::trace::{KIND_FLIGHT, KIND_SPAN_DISPATCH};
+use sdmmon_obs::{Event, EventBus, TraceContext};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
+use std::sync::Arc;
 
 const CORES: usize = 8;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -111,6 +118,61 @@ fn sharded_batch_is_byte_identical_to_serial_for_all_shard_counts_and_seeds() {
                 serial_stats,
                 "NpStats diverged from serial at {shards} shards, seed {seed:#x}"
             );
+        }
+    }
+}
+
+/// Every event but `np.batch`, which is telemetry of the sharded path
+/// only.
+fn oracle_events(bus: &EventBus) -> Vec<Event> {
+    bus.take()
+        .into_iter()
+        .filter(|e| e.kind != "np.batch")
+        .collect()
+}
+
+#[test]
+fn traced_sharded_batch_emits_the_serial_event_stream() {
+    let policy = SupervisorPolicy::ladder(2, 2);
+    for (seed, burst) in SEEDS {
+        let batches = [traffic(seed, 160, burst), traffic(seed ^ 0xFFFF, 80, false)];
+        for per_mille in [0u16, 200, 1000] {
+            // `None` runs the serial oracle; `Some(n)` the engine at n shards.
+            let run = |shards: Option<usize>| {
+                let bus = Arc::new(EventBus::new());
+                let mut np = loaded_np(policy);
+                np.set_event_bus(Some(bus.clone()));
+                np.set_trace(Some(TraceContext::new(seed, per_mille)));
+                let outcomes: Vec<_> = batches
+                    .iter()
+                    .map(|packets| match shards {
+                        None => np.process_batch_serial(packets),
+                        Some(n) => {
+                            np.set_shards(n);
+                            np.process_batch(packets)
+                        }
+                    })
+                    .collect();
+                (outcomes, np.stats(), oracle_events(&bus))
+            };
+            let want = run(None);
+            let traced_kind = if per_mille == 0 {
+                KIND_FLIGHT
+            } else {
+                KIND_SPAN_DISPATCH
+            };
+            assert!(
+                want.2.iter().any(|e| e.kind == traced_kind),
+                "per-mille {per_mille}: the oracle stream carries no {traced_kind}"
+            );
+            for shards in SHARD_COUNTS {
+                assert_eq!(
+                    run(Some(shards)),
+                    want,
+                    "traced run diverged from serial at {shards} shards, \
+                     seed {seed:#x}, per-mille {per_mille}"
+                );
+            }
         }
     }
 }

@@ -6,6 +6,9 @@
 //!   the same shard count: outcomes, [`NpStats`], *and* the supervisor
 //!   event stream, for shard counts 1/2/4/8 and multiple seeds including
 //!   one that escalates cores through redeploy and quarantine mid-stream.
+//!   With a [`TraceContext`] at 0, 200 and 1000 per mille the two paths
+//!   also emit one event stream — admission and execution spans and
+//!   flight promotions included — event for event.
 //! * Backpressure: `offered == admitted + dropped` holds exactly, drops
 //!   land on precisely the `None` outcome slots, and a skewed arrival
 //!   pattern actually provokes steals.
@@ -16,7 +19,8 @@ use sdmmon_npu::cpu::NullObserver;
 use sdmmon_npu::np::{NetworkProcessor, StreamConfig};
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::supervisor::SupervisorPolicy;
-use sdmmon_obs::{Event, EventBus};
+use sdmmon_obs::trace::{KIND_FLIGHT, KIND_SPAN_INGEST};
+use sdmmon_obs::{Event, EventBus, TraceContext};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
 use std::sync::Arc;
 
@@ -147,6 +151,59 @@ fn streaming_is_byte_identical_to_serial_for_all_shard_counts_and_seeds() {
             }
         }
     }
+}
+
+#[test]
+fn traced_streaming_emits_the_serial_event_stream() {
+    let policy = SupervisorPolicy::ladder(2, 2);
+    let cfg = StreamConfig { shard_capacity: 24 };
+    // Not every run carries trace content (without the opening burst the
+    // elephant's shard drops every attack, so nothing is promoted at 0
+    // per mille), but each sampling rate must carry some somewhere.
+    let mut carried = [false; 3];
+    for (seed, burst) in SEEDS {
+        let traffic = rounds(seed, 6, 60, burst);
+        for (rate, per_mille) in [0u16, 200, 1000].into_iter().enumerate() {
+            let traced_kind = if per_mille == 0 {
+                KIND_FLIGHT
+            } else {
+                KIND_SPAN_INGEST
+            };
+            for shards in SHARD_COUNTS {
+                let run = |serial: bool| {
+                    let bus = Arc::new(EventBus::new());
+                    let mut np = loaded_np(policy);
+                    np.set_shards(shards);
+                    np.set_event_bus(Some(bus.clone()));
+                    np.set_trace(Some(TraceContext::new(seed, per_mille)));
+                    let got = if serial {
+                        np.process_stream_serial(&traffic, &cfg)
+                    } else {
+                        np.process_stream(&traffic, &cfg)
+                    };
+                    // `np.batch` is telemetry of the streaming path only.
+                    let events: Vec<Event> = bus
+                        .take()
+                        .into_iter()
+                        .filter(|e| e.kind != "np.batch")
+                        .collect();
+                    (got.outcomes, np.stats(), events)
+                };
+                let want = run(true);
+                carried[rate] |= want.2.iter().any(|e| e.kind == traced_kind);
+                assert_eq!(
+                    run(false),
+                    want,
+                    "traced stream diverged from serial at {shards} shards, \
+                     seed {seed:#x}, per-mille {per_mille}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        carried, [true; 3],
+        "a sampling rate emitted no trace content"
+    );
 }
 
 #[test]

@@ -59,4 +59,4 @@ pub use frontier::{
     frontier_json, frontier_table, run_frontier, FrontierCell, FrontierConfig, FrontierReport,
     FRONTIER_SCHEMA,
 };
-pub use report::{run_campaign, run_campaign_observed, CampaignReport};
+pub use report::{run_campaign, CampaignReport};

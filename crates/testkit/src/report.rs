@@ -8,7 +8,7 @@ use crate::campaign::{self, CampaignConfig, CampaignOutcome, EscapeRow};
 use crate::differential::{run_differentials, DiffBudget, DifferentialReport};
 use crate::json::Json;
 use sdmmon_core::SdmmonError;
-use sdmmon_obs::{Event, EventBus};
+use sdmmon_obs::Event;
 use sdmmon_rng::split_seed;
 use std::fmt::Write as _;
 
@@ -66,26 +66,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, SdmmonError>
         escape_model,
         differential,
     })
-}
-
-/// [`run_campaign`] with an optional observability bus: when `bus` is
-/// attached, the report's lifecycle is narrated as structured events (see
-/// [`CampaignReport::to_events`]) after the run completes. The events are a
-/// pure function of the (already byte-stable) report, so the stream replays
-/// byte-identically per `(seed, budget, routers, escape_trials)`.
-///
-/// # Errors
-///
-/// Exactly those of [`run_campaign`].
-pub fn run_campaign_observed(
-    cfg: &CampaignConfig,
-    bus: Option<&EventBus>,
-) -> Result<CampaignReport, SdmmonError> {
-    let report = run_campaign(cfg)?;
-    if let Some(bus) = bus {
-        bus.extend(report.to_events());
-    }
-    Ok(report)
 }
 
 impl CampaignReport {
@@ -334,6 +314,7 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn tiny() -> CampaignConfig {
         CampaignConfig::new(5)
@@ -342,9 +323,23 @@ mod tests {
             .with_escape_trials(400)
     }
 
+    /// The tiny campaign's report, run once and shared by the tests that
+    /// only read it (one run takes seconds in a debug build). The replay
+    /// tests still make their own independent runs.
+    fn tiny_report() -> &'static CampaignReport {
+        static REPORT: OnceLock<CampaignReport> = OnceLock::new();
+        REPORT.get_or_init(|| run_campaign(&tiny()).unwrap())
+    }
+
+    fn render(events: Vec<Event>) -> String {
+        let bus = sdmmon_obs::EventBus::new();
+        bus.extend(events);
+        bus.render_jsonl()
+    }
+
     #[test]
     fn report_passes_accounting() {
-        let report = run_campaign(&tiny()).unwrap();
+        let report = tiny_report();
         report.verify_accounting().unwrap();
         assert_eq!(report.campaigns.len(), 6);
         let resilient = report
@@ -359,16 +354,20 @@ mod tests {
 
     #[test]
     fn json_is_byte_stable_across_runs() {
-        let a = run_campaign(&tiny()).unwrap().to_json();
-        let b = run_campaign(&tiny()).unwrap().to_json();
-        assert_eq!(a, b);
+        let replay = run_campaign(&tiny()).unwrap();
+        let a = tiny_report().to_json();
+        assert_eq!(a, replay.to_json());
         assert!(a.contains("\"schema\": \"sdmmon-campaign-v1\""));
         assert!(a.ends_with('\n'));
+        // The event stream is a pure function of the byte-stable report.
+        assert_eq!(
+            render(tiny_report().to_events()),
+            render(replay.to_events())
+        );
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = run_campaign(&tiny()).unwrap().to_json();
         let b = run_campaign(
             &CampaignConfig::new(6)
                 .with_budget(40)
@@ -377,14 +376,13 @@ mod tests {
         )
         .unwrap()
         .to_json();
-        assert_ne!(a, b);
+        assert_ne!(tiny_report().to_json(), b);
     }
 
     #[test]
     fn observed_run_narrates_the_report_deterministically() {
-        let bus = sdmmon_obs::EventBus::new();
-        let report = run_campaign_observed(&tiny(), Some(&bus)).unwrap();
-        let jsonl = bus.render_jsonl();
+        let report = tiny_report();
+        let jsonl = render(report.to_events());
         let lines: Vec<&str> = jsonl.lines().collect();
         // start + one per campaign + one per escape row + one per
         // differential check + the closing report event.
@@ -406,15 +404,11 @@ mod tests {
         // Clocks are cumulative trial counts: monotone non-decreasing.
         let events = report.to_events();
         assert!(events.windows(2).all(|w| w[0].clock <= w[1].clock));
-        // The stream is a pure function of the byte-stable report.
-        let bus2 = sdmmon_obs::EventBus::new();
-        run_campaign_observed(&tiny(), Some(&bus2)).unwrap();
-        assert_eq!(jsonl, bus2.render_jsonl());
     }
 
     #[test]
     fn summary_lists_every_campaign() {
-        let report = run_campaign(&tiny()).unwrap();
+        let report = tiny_report();
         let text = report.summary();
         for c in &report.campaigns {
             assert!(text.contains(c.name), "{text}");

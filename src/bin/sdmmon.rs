@@ -78,7 +78,7 @@ use sdmmon::monitor::{HardwareMonitor, MonitoringGraph};
 use sdmmon::npu::core::Core;
 use sdmmon::npu::trace::{Tee, Tracer};
 use sdmmon::obs::EventBus;
-use sdmmon::testkit::{run_campaign_observed, CampaignConfig};
+use sdmmon::testkit::{run_campaign, CampaignConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -614,7 +614,7 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     };
 
     let bus = a.option("--events").map(|_| EventBus::new());
-    let mut result = Fleet::deploy_resilient_observed(
+    let mut result = Fleet::deploy_resilient(
         &manufacturer,
         &operator,
         &program,
@@ -996,7 +996,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     // is also the hot-path regression gate for the default (events-off)
     // observability level.
     let bus = events_path.map(|_| std::sync::Arc::new(EventBus::new()));
-    let report = sharded::run_observed(&ShardedConfig::new(quick, max_shards), bus.as_ref());
+    let report = sharded::run(&ShardedConfig::new(quick, max_shards), bus.as_ref());
     print!("{}", report.table());
     let headline = report.headline();
     let speedup = report.speedup(&headline);
@@ -1118,7 +1118,10 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
     let out = a.option("--out").unwrap_or("target/CAMPAIGN.json");
 
     let bus = a.option("--events").map(|_| EventBus::new());
-    let report = run_campaign_observed(&config, bus.as_ref()).map_err(processing)?;
+    let report = run_campaign(&config).map_err(processing)?;
+    if let Some(bus) = &bus {
+        bus.extend(report.to_events());
+    }
     print!("{}", report.summary());
     report
         .verify_accounting()

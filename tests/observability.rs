@@ -22,7 +22,7 @@ use sdmmon::obs::{
     assemble_traces, validate_event_line, Event, EventBus, StreamValidator, TraceContext,
     EVENTS_SCHEMA,
 };
-use sdmmon::testkit::{run_campaign_observed, CampaignConfig};
+use sdmmon::testkit::{run_campaign, CampaignConfig};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
 use std::sync::Arc;
 
@@ -38,7 +38,11 @@ fn campaign_cfg(seed: u64) -> CampaignConfig {
 /// Renders the campaign event stream for one seed.
 fn campaign_jsonl(seed: u64) -> String {
     let bus = EventBus::new();
-    run_campaign_observed(&campaign_cfg(seed), Some(&bus)).expect("campaign runs");
+    bus.extend(
+        run_campaign(&campaign_cfg(seed))
+            .expect("campaign runs")
+            .to_events(),
+    );
     bus.render_jsonl()
 }
 
