@@ -12,7 +12,8 @@
 # deterministic per seed), an events-schema smoke (byte-identical
 # sdmmon-events-v1 replay), the v1-vs-v2 install differential, the
 # availability-vs-security frontier gate (byte-identical
-# sdmmon-frontier-v1 replay + monotone trade), a
+# sdmmon-frontier-v1 replay + monotone trade), a resilient-deploy smoke
+# (byte-identical events + metrics replay, one terminal state per router), a
 # seeded 1k-router fleet deploy smoke (byte-identical replay), and a
 # short traced perfbench run per data-plane workload (every pass checked
 # against the serial oracles; see perfbench/README.md,
@@ -185,10 +186,32 @@ PYEOF
 
 # Resilient-deploy smoke: a small fleet must converge through a lossy,
 # corrupting, stalling link with a server outage, quarantining only the
-# blackholed router (exit 2 if the whole fleet quarantines). Bounded:
-# 4 routers x <=3 cycles x <=60 transport attempts.
-cargo run --release --bin sdmmon -- deploy --routers 4 --cores 2 --seed 7 \
-    --loss 0.2 --corrupt 0.05 --stall 0.05 --outage 2:5 --blackhole 2
+# blackholed router (exit 2 if the whole fleet quarantines), and replay
+# byte-identically — events and metrics. Bounded: 4 routers x <=3 cycles
+# x <=60 transport attempts.
+for run in a b; do
+    cargo run --release --bin sdmmon -- deploy --routers 4 --cores 2 --seed 7 \
+        --loss 0.2 --corrupt 0.05 --stall 0.05 --outage 2:5 --blackhole 2 \
+        --events "target/ci-resilient-$run.jsonl" \
+        --metrics "target/ci-resilient-$run.metrics.json"
+done
+cmp target/ci-resilient-a.jsonl target/ci-resilient-b.jsonl
+cmp target/ci-resilient-a.metrics.json target/ci-resilient-b.metrics.json
+python3 - target/ci-resilient-a.jsonl <<'PYEOF'
+import json, sys
+terminal = {}
+for line in open(sys.argv[1]).read().splitlines():
+    event = json.loads(line)
+    assert event["schema"] == "sdmmon-events-v1", event
+    if event["kind"] in ("deploy.installed", "deploy.quarantined"):
+        router = event["router"]
+        assert router not in terminal, ("second terminal event", router)
+        terminal[router] = event["kind"]
+assert sorted(terminal) == [f"router-{i}" for i in range(4)], terminal
+quarantined = [r for r, kind in terminal.items() if kind == "deploy.quarantined"]
+assert quarantined == ["router-2"], terminal
+print(f"resilient ok: {len(terminal) - 1}/4 installed, router-2 quarantined")
+PYEOF
 
 # Fleet-scale deploy smoke: a seeded 1k-router hierarchical campaign
 # (operator -> 8 relays -> routers, shared-package key-wrap, wire-v2

@@ -24,8 +24,19 @@
 //!
 //! Everything is deterministic per seed: entity keys, the fault streams of
 //! origin and relays, per-router rng, and the serial relay-then-router
-//! order. The whole run replays byte-identically — report, events, and
-//! quarantine accounting.
+//! order. The whole run replays byte-identically — report, events, spans
+//! (when [`FleetDeployConfig::trace`] is set), and quarantine accounting.
+//!
+//! [`deploy_fleet`] and
+//! [`Fleet::deploy_resilient`](crate::system::Fleet::deploy_resilient) stay
+//! two functions on purpose, with no packaging or transport parameter. The
+//! per-router loop there (a fresh v1 bundle per cycle, whole-file downloads
+//! from one flaky server) and the relay-tree loop here (one shared update,
+//! relay sync, per-section fetches into a cache, pooled device keys,
+//! streamed routers) share only their final install call, and that is
+//! already one SR1–SR4 ladder behind
+//! [`RouterDevice::install_bundle`] / [`RouterDevice::install_bundle_v2`].
+//! One function would branch on its caller at every step.
 //!
 //! Memory note: a simulated NP core owns 1 MiB of packet memory, so 10k
 //! live routers would need ~10 GB. [`deploy_fleet`] therefore *streams*
@@ -290,6 +301,14 @@ pub struct FleetDeployConfig {
     /// Keep the first N installed routers alive in the report so tests can
     /// drive traffic through them; everything else streams out of memory.
     pub keep_routers: usize,
+    /// Causal span layer: when set (and a bus is attached), the run emits
+    /// the control-plane span chain alongside the `fleet.*` events — one
+    /// `span.operator` root at clock 0, one `span.relay` per synced relay
+    /// (clock = cumulative transport attempts), and one `span.install` per
+    /// router whose trace id derives from [`trace::entity_flow`] — so
+    /// [`sdmmon_obs::assemble_traces`] links operator → relay → install per
+    /// router.
+    pub trace: Option<TraceContext>,
 }
 
 impl Default for FleetDeployConfig {
@@ -306,6 +325,7 @@ impl Default for FleetDeployConfig {
             outage: None,
             blackhole_router: None,
             keep_routers: 0,
+            trace: None,
         }
     }
 }
@@ -452,41 +472,26 @@ impl FleetScaleReport {
 
 /// Deploys one shared fleet update through the relay tree, streaming
 /// routers so memory stays O(1) in fleet size. See the module docs for the
-/// protocol and [`FleetDeployConfig`] for the knobs. Deterministic per
-/// `seed` — a rerun replays the report and event stream byte-identically.
+/// protocol and [`FleetDeployConfig`] for the knobs (including the optional
+/// span layer, [`FleetDeployConfig::trace`]). Deterministic per `seed` — a
+/// rerun replays the report and event stream byte-identically.
 ///
 /// # Errors
 ///
-/// Systemic failures only (key generation, packaging). Transport and
-/// verification failures end in quarantine rows, never an error.
+/// Systemic failures only: [`SdmmonError::NoSuchCore`] for
+/// `cores_each == 0` (checked before any key generation), key generation,
+/// packaging. Transport and verification failures end in quarantine rows,
+/// never an error.
 pub fn deploy_fleet(
     config: &FleetDeployConfig,
     program: &Program,
     seed: u64,
     bus: Option<&EventBus>,
 ) -> Result<FleetScaleReport, SdmmonError> {
-    deploy_fleet_traced(config, program, seed, bus, None)
-}
-
-/// [`deploy_fleet`] with the causal span layer attached: alongside each
-/// `fleet.*` event the run emits the control-plane span chain — one
-/// `span.operator` root at clock 0, one `span.relay` per synced relay
-/// (clock = cumulative transport attempts), and one `span.install` per
-/// router whose trace id derives from [`trace::entity_flow`] — so
-/// [`sdmmon_obs::assemble_traces`] links operator → relay → install per
-/// router. Spans are only emitted when both `bus` and `trace` are present;
-/// with `trace = None` this *is* `deploy_fleet`.
-///
-/// # Errors
-///
-/// Same contract as [`deploy_fleet`].
-pub fn deploy_fleet_traced(
-    config: &FleetDeployConfig,
-    program: &Program,
-    seed: u64,
-    bus: Option<&EventBus>,
-    tracing: Option<&TraceContext>,
-) -> Result<FleetScaleReport, SdmmonError> {
+    if config.cores_each == 0 {
+        return Err(SdmmonError::NoSuchCore { core: 0, cores: 0 });
+    }
+    let tracing = config.trace.as_ref();
     let mut rng = StdRng::seed_from_u64(seed);
     let manufacturer = Manufacturer::new("fleet-acme", AUTHORITY_KEY_BITS, &mut rng)?;
     let mut operator = NetworkOperator::new("fleet-op", AUTHORITY_KEY_BITS, &mut rng)?;
@@ -534,7 +539,6 @@ pub fn deploy_fleet_traced(
     let router_split = rng.next_u64();
 
     let client = DownloadClient::new(config.retry);
-    metrics().inc(Counter::FleetUpdatesPrepared);
     if let Some(bus) = bus {
         bus.record(
             Event::new("fleet.update_prepared", 0)
@@ -869,6 +873,17 @@ mod tests {
         assert_eq!(a.transport_attempts, b.transport_attempts);
         assert_eq!(a.origin_shared_egress_bytes, b.origin_shared_egress_bytes);
         assert_eq!(a.summary(), b.summary());
+    }
+
+    #[test]
+    fn zero_core_fleet_is_an_error_not_a_panic() {
+        let program = programs::ipv4_forward().unwrap();
+        let mut config = base_config(4, 2);
+        config.cores_each = 0;
+        assert_eq!(
+            deploy_fleet(&config, &program, 5, None).unwrap_err(),
+            SdmmonError::NoSuchCore { core: 0, cores: 0 }
+        );
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl Manufacturer {
     ///
     /// # Errors
     ///
-    /// Propagates key-generation failures.
+    /// Returns [`SdmmonError::NoSuchCore`] for a zero-core router (before
+    /// drawing any randomness) and propagates key-generation failures.
     pub fn provision_router<R: RngCore + ?Sized>(
         &self,
         name: &str,
@@ -83,6 +84,9 @@ impl Manufacturer {
         key_bits: usize,
         rng: &mut R,
     ) -> Result<RouterDevice, SdmmonError> {
+        if cores == 0 {
+            return Err(SdmmonError::NoSuchCore { core: 0, cores: 0 });
+        }
         Ok(self.provision_router_with_keys(name, cores, RsaKeyPair::generate(key_bits, rng)?))
     }
 
@@ -93,6 +97,11 @@ impl Manufacturer {
     /// pre-generated key pairs caps key-generation cost when manufacturing
     /// tens of thousands of simulated routers, while the install protocol
     /// itself stays strictly per-key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero (a network processor needs at least one
+    /// core).
     pub fn provision_router_with_keys(
         &self,
         name: &str,
@@ -221,25 +230,7 @@ impl NetworkOperator {
         sequence: u64,
         rng: &mut R,
     ) -> Result<InstallationBundle, SdmmonError> {
-        let certificate = self
-            .certificate
-            .clone()
-            .ok_or(SdmmonError::MissingCertificate)?;
-        let hash_param = rng.next_u32();
-        let hash = MerkleTreeHash::with_compression(hash_param, self.compression);
-        let graph = MonitoringGraph::extract(program, &hash)
-            .map_err(|e| SdmmonError::Graph(e.to_string()))?;
-        let package = Package {
-            binary: program.to_bytes(),
-            base: program.base,
-            graph: graph.to_bytes(),
-            hash_param,
-            compression: self.compression,
-            sequence,
-        };
-        let payload = package.to_bytes();
-        let signature = self.keys.private.sign(&payload);
-
+        let (certificate, payload, signature) = self.sign(program, rng.next_u32(), sequence)?;
         let mut sym_key = [0u8; SYM_KEY_BYTES];
         rng.fill_bytes(&mut sym_key);
         let aes = Aes::new(&sym_key)?;
@@ -280,21 +271,6 @@ impl NetworkOperator {
         rng: &mut R,
     ) -> Result<FleetUpdate, SdmmonError> {
         let sequence = self.reserve_sequences(1);
-        self.prepare_fleet_update_with_sequence(program, sequence, rng)
-    }
-
-    /// [`NetworkOperator::prepare_fleet_update`] with a caller-assigned
-    /// sequence number.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`NetworkOperator::prepare_package`].
-    pub fn prepare_fleet_update_with_sequence<R: RngCore + ?Sized>(
-        &self,
-        program: &Program,
-        sequence: u64,
-        rng: &mut R,
-    ) -> Result<FleetUpdate, SdmmonError> {
         let hash_param = rng.next_u32();
         let mut sym_key = [0u8; SYM_KEY_BYTES];
         rng.fill_bytes(&mut sym_key);
@@ -332,23 +308,7 @@ impl NetworkOperator {
         sym_key: [u8; SYM_KEY_BYTES],
         sequence: u64,
     ) -> Result<FleetUpdate, SdmmonError> {
-        let certificate = self
-            .certificate
-            .clone()
-            .ok_or(SdmmonError::MissingCertificate)?;
-        let hash = MerkleTreeHash::with_compression(hash_param, self.compression);
-        let graph = MonitoringGraph::extract(program, &hash)
-            .map_err(|e| SdmmonError::Graph(e.to_string()))?;
-        let package = Package {
-            binary: program.to_bytes(),
-            base: program.base,
-            graph: graph.to_bytes(),
-            hash_param,
-            compression: self.compression,
-            sequence,
-        };
-        let payload = package.to_bytes();
-        let signature = self.keys.private.sign(&payload);
+        let (certificate, payload, signature) = self.sign(program, hash_param, sequence)?;
         let cipher_sections = encrypt_segments(&sym_key, &payload)?;
         sdmmon_obs::metrics().inc(sdmmon_obs::Counter::FleetUpdatesPrepared);
         Ok(FleetUpdate {
@@ -360,6 +320,36 @@ impl NetworkOperator {
             sequence,
             hash_param,
         })
+    }
+
+    /// The signing half every package shares, per-router or fleet-wide:
+    /// extract the monitoring graph under `hash_param` (SR2), serialize the
+    /// [`Package`], and sign it with the operator key (SR1). Returns the
+    /// certificate to ship, the plaintext payload, and its signature.
+    fn sign(
+        &self,
+        program: &Program,
+        hash_param: u32,
+        sequence: u64,
+    ) -> Result<(Certificate, Vec<u8>, Vec<u8>), SdmmonError> {
+        let certificate = self
+            .certificate
+            .clone()
+            .ok_or(SdmmonError::MissingCertificate)?;
+        let hash = MerkleTreeHash::with_compression(hash_param, self.compression);
+        let graph = MonitoringGraph::extract(program, &hash)
+            .map_err(|e| SdmmonError::Graph(e.to_string()))?;
+        let payload = Package {
+            binary: program.to_bytes(),
+            base: program.base,
+            graph: graph.to_bytes(),
+            hash_param,
+            compression: self.compression,
+            sequence,
+        }
+        .to_bytes();
+        let signature = self.keys.private.sign(&payload);
+        Ok((certificate, payload, signature))
     }
 }
 
@@ -631,52 +621,19 @@ impl RouterDevice {
         bundle: &InstallationBundle,
         cores: &[usize],
     ) -> Result<InstallReport, SdmmonError> {
-        // Atomicity: validate the core list before anything else. Every
-        // later failure mode also precedes the programming loop, so an
-        // install either programs all requested cores or touches none.
-        if let Some(&bad) = cores.iter().find(|&&c| c >= self.installed.len()) {
-            return Err(SdmmonError::NoSuchCore {
-                core: bad,
-                cores: self.installed.len(),
-            });
-        }
-        // SR1 (chain of trust): the certificate must be manufacturer-signed.
-        if !bundle.certificate.verify(&self.manufacturer_key) {
-            return Err(SdmmonError::CertificateInvalid);
-        }
-        let operator_key = bundle
-            .certificate
-            .subject_key()
-            .map_err(|_| SdmmonError::CertificateInvalid)?;
-
-        // SR4: only this router's private key can unwrap the AES key.
-        let sym_key = self
-            .keys
-            .private
-            .decrypt(&bundle.wrapped_key)
-            .map_err(|_| SdmmonError::WrongDevice)?;
-
-        // SR3: decrypt the confidential payload.
-        let aes = Aes::new(&sym_key).map_err(|_| SdmmonError::DecryptionFailed)?;
-        let payload = aes
-            .decrypt_cbc(&bundle.ciphertext)
-            .map_err(|_| SdmmonError::DecryptionFailed)?;
-
-        self.finish_install(
-            &operator_key,
+        self.install(
             &bundle.certificate,
-            &payload,
+            &bundle.wrapped_key,
+            std::slice::from_ref(&bundle.ciphertext),
             &bundle.signature,
             cores,
-            bundle.ciphertext.len(),
             bundle.transport_size(),
         )
     }
 
     /// [`RouterDevice::install_bundle`] for a wire-format-v2 bundle: the
-    /// same check ladder with the shared-package envelope — unwrap the
-    /// fleet key (SR4), decrypt each ciphertext section independently
-    /// (SR3), then verify and program exactly as v1 (SR1, anti-replay).
+    /// same check ladder with the shared-package envelope, whose payload
+    /// arrives as independently encrypted sections.
     ///
     /// # Errors
     ///
@@ -687,6 +644,30 @@ impl RouterDevice {
         bundle: &BundleV2,
         cores: &[usize],
     ) -> Result<InstallReport, SdmmonError> {
+        self.install(
+            &bundle.certificate,
+            &bundle.wrapped_key,
+            &bundle.cipher_sections,
+            &bundle.signature,
+            cores,
+            bundle.transport_size(),
+        )
+    }
+
+    /// The SR1–SR4 check ladder behind both envelopes. A v1 bundle's single
+    /// ciphertext is a one-section list; v2 sections decrypt independently
+    /// and concatenate to the payload. Every check precedes the programming
+    /// loop, so an install either programs all requested cores or touches
+    /// none.
+    fn install(
+        &mut self,
+        certificate: &Certificate,
+        wrapped_key: &[u8],
+        cipher_sections: &[Vec<u8>],
+        signature: &[u8],
+        cores: &[usize],
+        transport_bytes: usize,
+    ) -> Result<InstallReport, SdmmonError> {
         if let Some(&bad) = cores.iter().find(|&&c| c >= self.installed.len()) {
             return Err(SdmmonError::NoSuchCore {
                 core: bad,
@@ -694,66 +675,37 @@ impl RouterDevice {
             });
         }
         // SR1 (chain of trust): the certificate must be manufacturer-signed.
-        if !bundle.certificate.verify(&self.manufacturer_key) {
+        if !certificate.verify(&self.manufacturer_key) {
             return Err(SdmmonError::CertificateInvalid);
         }
-        let operator_key = bundle
-            .certificate
+        let operator_key = certificate
             .subject_key()
             .map_err(|_| SdmmonError::CertificateInvalid)?;
 
-        // SR4: only this router's private key can unwrap the fleet key.
+        // SR4: only this router's private key can unwrap the AES key.
         let sym_key = self
             .keys
             .private
-            .decrypt(&bundle.wrapped_key)
+            .decrypt(wrapped_key)
             .map_err(|_| SdmmonError::WrongDevice)?;
 
-        // SR3: decrypt each payload section; any damaged section fails the
-        // whole install (the transport layer's per-section checksums exist
-        // so it rarely gets this far with a bad section).
+        // SR3: decrypt the confidential payload; any damaged section fails
+        // the whole install.
         let aes = Aes::new(&sym_key).map_err(|_| SdmmonError::DecryptionFailed)?;
         let mut payload = Vec::new();
-        for section in &bundle.cipher_sections {
+        for section in cipher_sections {
             payload.extend_from_slice(
                 &aes.decrypt_cbc(section)
                     .map_err(|_| SdmmonError::DecryptionFailed)?,
             );
         }
 
-        let ciphertext_bytes = bundle.cipher_sections.iter().map(Vec::len).sum();
-        self.finish_install(
-            &operator_key,
-            &bundle.certificate,
-            &payload,
-            &bundle.signature,
-            cores,
-            ciphertext_bytes,
-            bundle.transport_size(),
-        )
-    }
-
-    /// The envelope-independent back half of an install: signature verify
-    /// (SR1), package parse, anti-replay, graph parse, core programming,
-    /// and the timing report. Shared by the v1 and v2 paths so the check
-    /// ladder cannot drift between them.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_install(
-        &mut self,
-        operator_key: &RsaPublicKey,
-        certificate: &Certificate,
-        payload: &[u8],
-        signature: &[u8],
-        cores: &[usize],
-        ciphertext_bytes: usize,
-        transport_bytes: usize,
-    ) -> Result<InstallReport, SdmmonError> {
         // SR1: the payload must carry a valid operator signature.
-        if !operator_key.verify(payload, signature) {
+        if !operator_key.verify(&payload, signature) {
             return Err(SdmmonError::SignatureInvalid);
         }
 
-        let package = Package::from_bytes(payload)
+        let package = Package::from_bytes(&payload)
             .map_err(|e| SdmmonError::MalformedPackage(e.to_string()))?;
         // Anti-replay (reproduction extension): reject packages that do not
         // advance the device's sequence high-water mark — otherwise a
@@ -787,7 +739,7 @@ impl RouterDevice {
         let timing = InstallTiming {
             check_certificate: m.check_certificate(modulus_bits, certificate.to_bytes().len()),
             unwrap_key: m.rsa_private_op(modulus_bits),
-            decrypt_package: m.aes_cbc(ciphertext_bytes),
+            decrypt_package: m.aes_cbc(cipher_sections.iter().map(Vec::len).sum()),
             verify_signature: m.verify_signature(modulus_bits, payload.len()),
         };
         Ok(InstallReport {
@@ -1286,48 +1238,102 @@ mod tests {
 
     #[test]
     fn fleet_v2_install_enforces_sr_ladder() {
+        // One table over the v1 and the v2 rendering of the same fleet
+        // update: each forged, foreign, tampered, replayed, or misaddressed
+        // bundle must fail with the same error in both envelopes and leave
+        // the installed apps and the anti-replay mark untouched.
         let program = programs::ipv4_forward().unwrap();
-        // SR4: a v2 bundle keyed to another router is rejected.
         let mut w = world(22);
         let other = w
             .manufacturer
             .provision_router("r-other", 1, KEY_BITS, &mut w.rng)
             .unwrap();
-        let update = w
+        let forger = RsaKeyPair::generate(KEY_BITS, &mut w.rng).unwrap();
+        let forged = Certificate::issue("op-1", w.operator.public_key(), &forger.private);
+
+        let installed = w
             .operator
             .prepare_fleet_update(&program, &mut w.rng)
             .unwrap();
-        let foreign = update
-            .bundle_v2_for(other.public_key(), &mut w.rng)
-            .unwrap();
-        assert_eq!(
-            w.router.install_bundle_v2(&foreign, &[0]).unwrap_err(),
-            SdmmonError::WrongDevice
-        );
-        // SR1/SR3: a flipped ciphertext section is caught by the ladder.
-        let mut tampered = update
+        let good = installed
             .bundle_v2_for(w.router.public_key(), &mut w.rng)
             .unwrap();
-        tampered.cipher_sections[0][7] ^= 0x40;
-        let err = w.router.install_bundle_v2(&tampered, &[0]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SdmmonError::DecryptionFailed
-                    | SdmmonError::SignatureInvalid
-                    | SdmmonError::MalformedPackage(_)
-            ),
-            "{err}"
-        );
-        assert!(w.router.installed(0).is_none());
-        // Clean install succeeds, then the same sequence replays → rejected.
-        let good = update
-            .bundle_v2_for(w.router.public_key(), &mut w.rng)
+        w.router.install_bundle_v2(&good, &[0, 1]).unwrap();
+        let next = w
+            .operator
+            .prepare_fleet_update(&program, &mut w.rng)
             .unwrap();
-        w.router.install_bundle_v2(&good, &[0]).unwrap();
-        assert!(matches!(
-            w.router.install_bundle_v2(&good, &[0]).unwrap_err(),
-            SdmmonError::ReplayedPackage { .. }
+
+        let mine = w.router.public_key().clone();
+        let mut render = |update: &FleetUpdate, key: &RsaPublicKey| {
+            (
+                update.bundle_v1_for(key, &mut w.rng).unwrap(),
+                update.bundle_v2_for(key, &mut w.rng).unwrap(),
+            )
+        };
+        let mut cases = Vec::new();
+        let (mut v1, mut v2) = render(&next, &mine);
+        v1.certificate = forged.clone();
+        v2.certificate = forged;
+        cases.push((
+            "forged certificate",
+            v1,
+            v2,
+            vec![0],
+            SdmmonError::CertificateInvalid,
         ));
+        let (v1, v2) = render(&next, other.public_key());
+        cases.push((
+            "foreign key wrap",
+            v1,
+            v2,
+            vec![0],
+            SdmmonError::WrongDevice,
+        ));
+        // Byte 7 lies in the CBC IV: the payload decrypts with one flipped
+        // byte and intact padding, so the signature check catches it.
+        let (mut v1, mut v2) = render(&next, &mine);
+        v1.ciphertext[7] ^= 0x40;
+        v2.cipher_sections[0][7] ^= 0x40;
+        cases.push((
+            "tampered ciphertext",
+            v1,
+            v2,
+            vec![0],
+            SdmmonError::SignatureInvalid,
+        ));
+        let (mut v1, mut v2) = render(&next, &mine);
+        v1.signature[0] ^= 0x01;
+        v2.signature[0] ^= 0x01;
+        cases.push((
+            "tampered signature",
+            v1,
+            v2,
+            vec![0],
+            SdmmonError::SignatureInvalid,
+        ));
+        let (v1, v2) = render(&installed, &mine);
+        let replayed = SdmmonError::ReplayedPackage {
+            got: installed.sequence(),
+            latest: installed.sequence(),
+        };
+        cases.push(("replayed sequence", v1, v2, vec![0], replayed));
+        let (v1, v2) = render(&next, &mine);
+        let no_core = SdmmonError::NoSuchCore { core: 7, cores: 2 };
+        cases.push(("core index out of range", v1, v2, vec![0, 7], no_core));
+
+        let state = |r: &RouterDevice| (r.installed.clone(), r.last_sequence);
+        let before = state(&w.router);
+        for (name, v1, v2, cores, want) in &cases {
+            let e1 = w.router.install_bundle(v1, cores).unwrap_err();
+            assert_eq!(state(&w.router), before, "{name}: v1 touched state");
+            let e2 = w.router.install_bundle_v2(v2, cores).unwrap_err();
+            assert_eq!(state(&w.router), before, "{name}: v2 touched state");
+            assert_eq!((&e1, &e2), (want, want), "{name}");
+        }
+        // The failures burned nothing: the next update still installs.
+        let (_, v2) = render(&next, &mine);
+        w.router.install_bundle_v2(&v2, &[0, 1]).unwrap();
+        assert_eq!(w.router.last_sequence, next.sequence());
     }
 }

@@ -134,7 +134,9 @@ metric_enum! {
         /// Modelled backoff, in nanoseconds (deterministic — modelled time,
         /// not wall time).
         NetBackoffNanos => "net_backoff_nanos",
-        /// Download+verify+install cycles started by `deploy_resilient`.
+        /// Deploy cycles started by `Fleet::deploy_resilient` (download,
+        /// verify, install) and by `distrib::deploy_fleet` (fetch,
+        /// assemble, install).
         FleetDeployCycles => "fleet_deploy_cycles",
         /// Routers that reached `Installed`.
         FleetRoutersInstalled => "fleet_routers_installed",

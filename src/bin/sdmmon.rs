@@ -75,6 +75,9 @@
 use sdmmon::isa::asm::Assembler;
 use sdmmon::monitor::hash::{Compression, MerkleTreeHash};
 use sdmmon::monitor::{HardwareMonitor, MonitoringGraph};
+use sdmmon::net::channel::Channel;
+use sdmmon::net::download::RetryPolicy;
+use sdmmon::net::resilience::{LossyChannel, OutageWindow};
 use sdmmon::npu::core::Core;
 use sdmmon::npu::trace::{Tee, Tracer};
 use sdmmon::obs::EventBus;
@@ -229,6 +232,11 @@ impl<'a> Args<'a> {
             .rev()
             .find(|(f, _)| *f == flag)
             .map(|(_, v)| *v)
+    }
+
+    /// The value of `flag` parsed as a decimal `u64`, if given.
+    fn number(&self, flag: &str, what: &str) -> Result<Option<u64>, CliError> {
+        self.option(flag).map(|v| parse_u64(v, what)).transpose()
     }
 }
 
@@ -489,12 +497,105 @@ fn event_field(event: &sdmmon::obs::Event, key: &str) -> String {
         .unwrap_or_else(|| "?".to_owned())
 }
 
+/// The flags both `deploy` paths share — the resilient per-router path and
+/// the `--relays` tree — parsed in one place. Only the defaults differ.
+struct DeployFlags {
+    routers: usize,
+    cores: usize,
+    seed: u64,
+    loss: f64,
+    corrupt: f64,
+    stall: f64,
+    max_retries: u32,
+    deploy_attempts: u32,
+    outage: Option<OutageWindow>,
+    blackhole: Option<usize>,
+}
+
+impl DeployFlags {
+    /// Parses the shared flags over the path's default fleet shape
+    /// `(routers, cores)` and link fault rates `[loss, corrupt, stall]`.
+    fn parse(a: &Args, shape: (usize, usize), rates: [f64; 3]) -> Result<DeployFlags, CliError> {
+        let prob = |flag: &str, what: &str, default: f64| {
+            a.option(flag).map_or(Ok(default), |v| parse_prob(v, what))
+        };
+        let budget = |flag: &str, what: &str, default: u32| {
+            a.number(flag, what)?.map_or(Ok(default), |n| {
+                u32::try_from(n).map_err(|_| usage(format!("{what} out of range")))
+            })
+        };
+        Ok(DeployFlags {
+            routers: a
+                .number("--routers", "routers")?
+                .map_or(shape.0, |n| n as usize),
+            cores: a
+                .number("--cores", "cores")?
+                .map_or(shape.1, |n| n as usize),
+            seed: a.number("--seed", "seed")?.unwrap_or(42),
+            loss: prob("--loss", "loss probability", rates[0])?,
+            corrupt: prob("--corrupt", "corruption probability", rates[1])?,
+            stall: prob("--stall", "stall probability", rates[2])?,
+            max_retries: budget("--max-retries", "max retries", 60)?,
+            deploy_attempts: budget("--deploy-attempts", "deploy attempts", 3)?,
+            outage: a
+                .option("--outage")
+                .map(|spec| {
+                    let (from, len) = spec
+                        .split_once(':')
+                        .ok_or_else(|| usage("--outage wants `from:len` (e.g. 2:5)"))?;
+                    Ok(OutageWindow {
+                        from: parse_u64(from, "outage start")?,
+                        len: parse_u64(len, "outage length")?,
+                    })
+                })
+                .transpose()?,
+            blackhole: a
+                .number("--blackhole", "blackhole router")?
+                .map(|n| n as usize),
+        })
+    }
+
+    /// The one rule both paths enforce: a nonzero fleet, core count,
+    /// transport retry budget and deploy-cycle budget, and a blackholed
+    /// router inside the fleet.
+    fn validate(&self) -> Result<(), CliError> {
+        if self.routers == 0
+            || self.cores == 0
+            || self.max_retries == 0
+            || self.deploy_attempts == 0
+        {
+            return Err(usage(
+                "routers, cores, retries and attempts must be nonzero",
+            ));
+        }
+        match self.blackhole {
+            Some(victim) if victim >= self.routers => Err(usage(format!(
+                "--blackhole {victim} is outside the fleet (0..{})",
+                self.routers
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    fn link(&self) -> LossyChannel {
+        LossyChannel::clean(Channel::ideal_gigabit())
+            .with_loss(self.loss)
+            .with_corrupt(self.corrupt)
+            .with_stall(self.stall)
+    }
+
+    fn retry(&self) -> RetryPolicy {
+        RetryPolicy::default()
+            .with_chunk_bytes(16 * 1024)
+            .with_max_attempts(self.max_retries)
+    }
+}
+
 fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     use sdmmon::core::entities::{Manufacturer, NetworkOperator};
     use sdmmon::core::system::{DeployPhase, Fleet, ResilientConfig};
-    use sdmmon::net::channel::{Channel, FileServer};
-    use sdmmon::net::download::RetryPolicy;
-    use sdmmon::net::resilience::{FlakyServer, LossyChannel, OutageWindow};
+    use sdmmon::net::channel::FileServer;
+    use sdmmon::net::resilience::FlakyServer;
     use sdmmon::npu::supervisor::SupervisorPolicy;
     use sdmmon_rng::{RngCore, SeedableRng, StdRng};
 
@@ -526,55 +627,9 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     if a.option("--relays").is_some() {
         return cmd_deploy_fleet(&a);
     }
-    let routers = a
-        .option("--routers")
-        .map(|v| parse_u64(v, "routers"))
-        .transpose()?
-        .unwrap_or(4) as usize;
-    let cores = a
-        .option("--cores")
-        .map(|v| parse_u64(v, "cores"))
-        .transpose()?
-        .unwrap_or(2) as usize;
-    let seed = a
-        .option("--seed")
-        .map(|v| parse_u64(v, "seed"))
-        .transpose()?
-        .unwrap_or(42);
-    let loss = a
-        .option("--loss")
-        .map(|v| parse_prob(v, "loss probability"))
-        .transpose()?
-        .unwrap_or(0.2);
-    let corrupt = a
-        .option("--corrupt")
-        .map(|v| parse_prob(v, "corruption probability"))
-        .transpose()?
-        .unwrap_or(0.05);
-    let stall = a
-        .option("--stall")
-        .map(|v| parse_prob(v, "stall probability"))
-        .transpose()?
-        .unwrap_or(0.05);
-    let max_retries = a
-        .option("--max-retries")
-        .map(|v| parse_u64(v, "max retries"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("max retries out of range")))
-        .transpose()?
-        .unwrap_or(60);
-    let deploy_attempts = a
-        .option("--deploy-attempts")
-        .map(|v| parse_u64(v, "deploy attempts"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("deploy attempts out of range")))
-        .transpose()?
-        .unwrap_or(3);
-    if routers == 0 || cores == 0 || max_retries == 0 || deploy_attempts == 0 {
-        return Err(usage(
-            "routers, cores, retries and attempts must be nonzero",
-        ));
-    }
+    let flags = DeployFlags::parse(&a, (4, 2), [0.2, 0.05, 0.05])?;
+    flags.validate()?;
+    let (routers, cores, seed) = (flags.routers, flags.cores, flags.seed);
 
     let mut rng = StdRng::seed_from_u64(seed);
     let manufacturer = Manufacturer::new("acme", 512, &mut rng).map_err(processing)?;
@@ -583,33 +638,16 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     let program = sdmmon::npu::programs::ipv4_forward().map_err(processing)?;
 
     let mut server = FlakyServer::new(FileServer::new(), rng.next_u64());
-    if let Some(spec) = a.option("--outage") {
-        let (from, len) = spec
-            .split_once(':')
-            .ok_or_else(|| usage("--outage wants `from:len` (e.g. 2:5)"))?;
-        server.schedule_outage(OutageWindow {
-            from: parse_u64(from, "outage start")?,
-            len: parse_u64(len, "outage length")?,
-        });
+    if let Some(window) = flags.outage {
+        server.schedule_outage(window);
     }
-    if let Some(victim) = a.option("--blackhole") {
-        let victim = parse_u64(victim, "blackhole router")? as usize;
-        if victim >= routers {
-            return Err(usage(format!(
-                "--blackhole {victim} is outside the fleet (0..{routers})"
-            )));
-        }
+    if let Some(victim) = flags.blackhole {
         server.blackhole(format!("pkg/router-{victim}.sdmmon"));
     }
     let config = ResilientConfig {
-        link: LossyChannel::clean(Channel::ideal_gigabit())
-            .with_loss(loss)
-            .with_corrupt(corrupt)
-            .with_stall(stall),
-        retry: RetryPolicy::default()
-            .with_chunk_bytes(16 * 1024)
-            .with_max_attempts(max_retries),
-        max_deploy_attempts: deploy_attempts,
+        link: flags.link(),
+        retry: flags.retry(),
+        max_deploy_attempts: flags.deploy_attempts,
         supervisor: SupervisorPolicy::default(),
     };
 
@@ -629,8 +667,9 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     .map_err(processing)?;
 
     println!(
-        "link: loss {loss:.2}, corrupt {corrupt:.2}, stall {stall:.2}; \
-         {max_retries} transport retries x {deploy_attempts} deploy cycles"
+        "link: loss {:.2}, corrupt {:.2}, stall {:.2}; \
+         {} transport retries x {} deploy cycles",
+        flags.loss, flags.corrupt, flags.stall, flags.max_retries, flags.deploy_attempts
     );
     println!(
         "{:<12} {:<11} {:>6} {:>9} {:>9} {:>12}",
@@ -791,101 +830,27 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
 /// key wraps, wire-format v2 with per-section checksums. Writes the
 /// byte-stable `sdmmon-fleet-v1` report to `--out`.
 fn cmd_deploy_fleet(a: &Args) -> Result<(), CliError> {
-    use sdmmon::net::download::RetryPolicy;
-    use sdmmon::net::resilience::OutageWindow;
     use sdmmon::testkit::{fleet_report_json, run_fleet_scale, FleetScaleConfig};
 
-    let routers = a
-        .option("--routers")
-        .map(|v| parse_u64(v, "routers"))
-        .transpose()?
-        .unwrap_or(64) as usize;
-    let relays = a
-        .option("--relays")
-        .map(|v| parse_u64(v, "relays"))
-        .transpose()?
-        .unwrap_or(4) as usize;
-    let cores = a
-        .option("--cores")
-        .map(|v| parse_u64(v, "cores"))
-        .transpose()?
-        .unwrap_or(1) as usize;
-    let seed = a
-        .option("--seed")
-        .map(|v| parse_u64(v, "seed"))
-        .transpose()?
-        .unwrap_or(42);
-    let loss = a
-        .option("--loss")
-        .map(|v| parse_prob(v, "loss probability"))
-        .transpose()?
-        .unwrap_or(0.05);
-    let corrupt = a
-        .option("--corrupt")
-        .map(|v| parse_prob(v, "corruption probability"))
-        .transpose()?
-        .unwrap_or(0.02);
-    let stall = a
-        .option("--stall")
-        .map(|v| parse_prob(v, "stall probability"))
-        .transpose()?
-        .unwrap_or(0.02);
-    let max_retries = a
-        .option("--max-retries")
-        .map(|v| parse_u64(v, "max retries"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("max retries out of range")))
-        .transpose()?
-        .unwrap_or(60);
-    let deploy_attempts = a
-        .option("--deploy-attempts")
-        .map(|v| parse_u64(v, "deploy attempts"))
-        .transpose()?
-        .map(|n| u32::try_from(n).map_err(|_| usage("deploy attempts out of range")))
-        .transpose()?
-        .unwrap_or(3);
-    let key_pool = a
-        .option("--key-pool")
-        .map(|v| parse_u64(v, "key pool"))
-        .transpose()?
-        .unwrap_or(64) as usize;
-    if routers == 0 || relays == 0 || cores == 0 || key_pool == 0 {
+    let flags = DeployFlags::parse(a, (64, 1), [0.05, 0.02, 0.02])?;
+    let relays = a.number("--relays", "relays")?.unwrap_or(4) as usize;
+    let key_pool = a.number("--key-pool", "key pool")?.unwrap_or(64) as usize;
+    if flags.routers == 0 || relays == 0 || flags.cores == 0 || key_pool == 0 {
         return Err(usage("routers, relays, cores and key-pool must be nonzero"));
     }
+    flags.validate()?;
+    let (seed, loss, corrupt, stall) = (flags.seed, flags.loss, flags.corrupt, flags.stall);
 
     let mut cfg = FleetScaleConfig::new(seed)
-        .with_routers(routers)
+        .with_routers(flags.routers)
         .with_relays(relays);
-    cfg.deploy.cores_each = cores;
+    cfg.deploy.cores_each = flags.cores;
     cfg.deploy.key_pool = key_pool;
-    cfg.deploy.max_deploy_attempts = deploy_attempts;
-    cfg.deploy.link = cfg
-        .deploy
-        .link
-        .with_loss(loss)
-        .with_corrupt(corrupt)
-        .with_stall(stall);
-    cfg.deploy.retry = RetryPolicy::default()
-        .with_chunk_bytes(16 * 1024)
-        .with_max_attempts(max_retries);
-    if let Some(spec) = a.option("--outage") {
-        let (from, len) = spec
-            .split_once(':')
-            .ok_or_else(|| usage("--outage wants `from:len` (e.g. 2:5)"))?;
-        cfg.deploy.outage = Some(OutageWindow {
-            from: parse_u64(from, "outage start")?,
-            len: parse_u64(len, "outage length")?,
-        });
-    }
-    if let Some(victim) = a.option("--blackhole") {
-        let victim = parse_u64(victim, "blackhole router")? as usize;
-        if victim >= routers {
-            return Err(usage(format!(
-                "--blackhole {victim} is outside the fleet (0..{routers})"
-            )));
-        }
-        cfg.deploy.blackhole_router = Some(victim);
-    }
+    cfg.deploy.max_deploy_attempts = flags.deploy_attempts;
+    cfg.deploy.link = flags.link();
+    cfg.deploy.retry = flags.retry();
+    cfg.deploy.outage = flags.outage;
+    cfg.deploy.blackhole_router = flags.blackhole;
 
     let bus = a.option("--events").map(|_| EventBus::new());
     let report = run_fleet_scale(&cfg, bus.as_ref()).map_err(processing)?;
@@ -1091,11 +1056,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
     if !a.positional.is_empty() {
         return Err(usage("campaign takes no positional arguments"));
     }
-    let seed = a
-        .option("--seed")
-        .map(|s| parse_u64(s, "seed"))
-        .transpose()?
-        .unwrap_or(42);
+    let seed = a.number("--seed", "seed")?.unwrap_or(42);
     let mut config = CampaignConfig::new(seed);
     if let Some(b) = a.option("--budget") {
         let budget = parse_u64(b, "budget")?;
@@ -1319,7 +1280,7 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
 /// count). `--perfetto` additionally exports a Chrome/Perfetto
 /// `traceEvents` JSON using the logical clocks as timestamps.
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    use sdmmon::core::distrib::{deploy_fleet_traced, FleetDeployConfig};
+    use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
     use sdmmon::net::traffic::{OpenLoopConfig, OpenLoopSource};
     use sdmmon::npu::np::{NetworkProcessor, StreamConfig};
     use sdmmon::npu::programs::{self, testing};
@@ -1424,10 +1385,11 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         routers: if quick { 4 } else { 8 },
         relays: 2,
         key_pool: 4,
+        trace: Some(tc),
         ..FleetDeployConfig::default()
     };
-    let fleet = deploy_fleet_traced(&fleet_cfg, &program, seed ^ 0xF1EE7, Some(&bus), Some(&tc))
-        .map_err(processing)?;
+    let fleet =
+        deploy_fleet(&fleet_cfg, &program, seed ^ 0xF1EE7, Some(&bus)).map_err(processing)?;
 
     if let Some(path) = events_path {
         write_output(path, &bus.render_jsonl())?;
@@ -1564,26 +1526,10 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     if !a.positional.is_empty() {
         return Err(usage("stats takes no positional arguments"));
     }
-    let seed = a
-        .option("--seed")
-        .map(|v| parse_u64(v, "seed"))
-        .transpose()?
-        .unwrap_or(42);
-    let packet_count = a
-        .option("--packets")
-        .map(|v| parse_u64(v, "packets"))
-        .transpose()?
-        .unwrap_or(512) as usize;
-    let cores = a
-        .option("--cores")
-        .map(|v| parse_u64(v, "cores"))
-        .transpose()?
-        .unwrap_or(4) as usize;
-    let shards = a
-        .option("--shards")
-        .map(|v| parse_u64(v, "shards"))
-        .transpose()?
-        .unwrap_or(4) as usize;
+    let seed = a.number("--seed", "seed")?.unwrap_or(42);
+    let packet_count = a.number("--packets", "packets")?.unwrap_or(512) as usize;
+    let cores = a.number("--cores", "cores")?.unwrap_or(4) as usize;
+    let shards = a.number("--shards", "shards")?.unwrap_or(4) as usize;
     if cores == 0 || shards == 0 || packet_count == 0 {
         return Err(usage("packets, cores and shards must be nonzero"));
     }

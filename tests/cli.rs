@@ -315,4 +315,41 @@ fn bad_inputs_yield_clean_errors() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1));
+    // Zero retry or cycle budgets are usage errors on both deploy paths.
+    for relays in [None, Some("2")] {
+        for flag in ["--max-retries", "--deploy-attempts"] {
+            let mut cmd = sdmmon();
+            cmd.args(["deploy", "--routers", "2", flag, "0"]);
+            if let Some(relays) = relays {
+                cmd.args(["--relays", relays]);
+            }
+            let out = cmd.output().expect("spawn");
+            assert_eq!(out.status.code(), Some(1), "{flag} 0, relays {relays:?}");
+            let text = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                text.contains("retries and attempts must be nonzero"),
+                "{text}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tree_deploy_counts_one_prepared_update_per_push() {
+    // The subprocess owns its metrics registry, so the count is exact.
+    let metrics = write_temp("tree-metrics.json", "");
+    let out = sdmmon()
+        .args(["deploy", "--routers", "10", "--relays", "2", "--metrics"])
+        .arg(&metrics)
+        .arg("--out")
+        .arg(write_temp("tree-fleet.json", ""))
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert!(text.contains("\"fleet_updates_prepared\": 1,"), "{text}");
 }
