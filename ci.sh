@@ -15,8 +15,9 @@
 # sdmmon-frontier-v1 replay + monotone trade), a resilient-deploy smoke
 # (byte-identical events + metrics replay, one terminal state per router), a
 # seeded 1k-router fleet deploy smoke (byte-identical replay), and a
-# short traced perfbench run per data-plane workload (every pass checked
-# against the serial oracles; see perfbench/README.md,
+# short traced perfbench run per data-plane workload and of fleet-10k
+# (every pass checked against the serial oracles or a phase-by-phase
+# replay; see perfbench/README.md,
 # docs/TESTKIT.md, docs/PERF.md, docs/OBSERVABILITY.md,
 # docs/THREAT_RESPONSE.md, and docs/RESILIENCE.md §7).
 set -eux
@@ -243,12 +244,14 @@ print(f"fleet ok: {report['installed']}/{report['routers']} installed, "
 PYEOF
 
 # Benchmark smoke: perfbench (its own package) checks every data-plane
-# pass — capacity, paced, and traced — against process_stream_serial and
-# exits 1 without a result on any divergence. A short traced run of each
-# data-plane workload keeps that check and the per-layer ledger in the
-# gate.
+# pass — capacity, paced, and traced — against process_stream_serial, and
+# the fleet workload's traced pass replays deploy_fleet phase by phase
+# against the real run; it exits 1 without a result on any divergence. A
+# short traced run of each data-plane workload and of fleet-10k (every
+# router of which runs Core::install) keeps those checks and the per-layer
+# ledgers in the gate.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
-for workload in fwd-bulk hijack-mix; do
+for workload in fwd-bulk hijack-mix fleet-10k; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 1 \
         > "target/ci-perfbench-$workload.txt"

@@ -129,6 +129,14 @@ impl Core {
 
     /// Hard-resets the core: clears memory and registers and re-loads the
     /// pristine program image (the paper's recovery action after an attack).
+    ///
+    /// Afterwards memory equals a freshly installed core's byte for byte.
+    /// [`Memory`] marks every page a store or block write touches, and an
+    /// unmarked page is all zero, so the reset zeroes only the marked
+    /// pages (those written since the last reset, the image's own
+    /// included) and copies the pristine decode cache into the working
+    /// one's allocation: recovery costs the pages the packets wrote, not
+    /// the 1 MiB address space.
     pub fn reset(&mut self) {
         self.cpu.reset();
         self.mem.clear();
@@ -137,7 +145,7 @@ impl Core {
                 .write_bytes(self.entry, &self.image)
                 .expect("image fits: checked at install");
         }
-        self.dcache = self.pristine_dcache.clone();
+        self.dcache.clone_from(&self.pristine_dcache);
         self.resets += 1;
     }
 

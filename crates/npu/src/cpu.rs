@@ -161,12 +161,28 @@ enum Slot {
 /// cpu.step_cached(&mut mem, &mut cache).unwrap();
 /// assert_eq!(cpu.reg(Reg::T0), 42);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DecodeCache {
     /// First cached address (word-aligned).
     base: u32,
     /// One slot per text word.
     slots: Vec<Slot>,
+}
+
+impl Clone for DecodeCache {
+    fn clone(&self) -> DecodeCache {
+        DecodeCache {
+            base: self.base,
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Copies into the existing slot vector, so a core reset restores its
+    /// pristine cache without allocating.
+    fn clone_from(&mut self, source: &DecodeCache) {
+        self.base = source.base;
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 impl DecodeCache {

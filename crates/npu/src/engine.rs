@@ -38,9 +38,9 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 /// A batch job shipped to a persistent worker. The `'static` bound is the
-/// public face; [`WorkerPool::run_batch`] transmutes scoped closures in and
-/// guarantees (by draining every completion channel before returning) that
-/// no job outlives the borrow it captured.
+/// public face; [`WorkerPool::run_batch_with`] transmutes scoped closures
+/// in and guarantees (by draining every completion channel before
+/// returning) that no job outlives the borrow it captured.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Completion message: `Ok` or the worker's panic payload.
@@ -54,10 +54,15 @@ struct Worker {
     handle: Option<JoinHandle<()>>,
 }
 
-/// A fixed-size pool of persistent OS threads, one per data-plane shard.
+/// A fixed-size pool of persistent OS threads for the data-plane shards
+/// the caller does not run itself.
 ///
-/// Spawned once, reused for every batch, joined on drop. Compare the
-/// pre-PR-4 `process_batch`, which paid thread spawn/teardown per call.
+/// The executor runs shard 0 on the calling thread and shards 1 and up on
+/// a pool of `shards - 1` workers ([`WorkerPool::run_batch_with`]), so a
+/// round wakes `shards - 1` threads and the caller works on a shard instead
+/// of only waiting for the others. Spawned once, reused for every batch,
+/// joined on drop. Compare the pre-PR-4 `process_batch`, which paid thread
+/// spawn/teardown per call.
 pub struct WorkerPool {
     workers: Vec<Worker>,
 }
@@ -102,48 +107,70 @@ impl WorkerPool {
         self.workers.is_empty()
     }
 
-    /// Runs one job per worker and blocks until **all** of them complete.
-    ///
-    /// The jobs may borrow from the caller's stack frame (they are
-    /// lifetime-erased internally); soundness rests on this function never
-    /// returning — or unwinding — before every worker has signalled done.
-    /// If a job panicked, the first panic (by worker index, for
-    /// determinism) is resumed on the caller after the full drain.
+    /// Runs one job per worker and blocks until **all** of them complete:
+    /// [`WorkerPool::run_batch_with`] with nothing to run inline.
     ///
     /// # Panics
     ///
     /// Resumes the first worker panic; panics if `jobs` does not match the
     /// pool size.
     pub fn run_batch<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+        self.run_batch_with(jobs, || {});
+    }
+
+    /// Hands one job to each worker, runs `inline` on the calling thread
+    /// meanwhile, and returns once `inline` and **all** jobs have finished.
+    ///
+    /// The jobs may borrow from the caller's stack frame (they are
+    /// lifetime-erased internally); soundness rests on this function never
+    /// returning — or unwinding — before every worker has signalled done,
+    /// so a panic in `inline` is caught and held until the drain completes.
+    /// The first panic is then resumed on the caller, in a fixed order for
+    /// determinism: `inline`'s, then the jobs' by worker index.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the first panic of `inline` or a job; panics if `jobs` does
+    /// not match the pool size.
+    pub fn run_batch_with<'scope>(
+        &self,
+        jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>,
+        inline: impl FnOnce(),
+    ) {
         assert_eq!(jobs.len(), self.workers.len(), "one job per worker");
+        let mut sent = 0;
+        let mut hung_up = false;
         for (worker, job) in self.workers.iter().zip(jobs) {
             // SAFETY: the job is only erased to 'static so it can cross the
             // channel; the drain loop below blocks until the worker has
             // finished running it, so no borrow it captured is ever used
             // after this stack frame resumes. The drain also runs on the
-            // panic path (completion is collected for every worker before
-            // any payload is resumed).
+            // panic path (`inline`'s panic is caught, and completion is
+            // collected from every worker that got a job before any payload
+            // is resumed). A job whose send fails comes back inside the
+            // error and is dropped unrun, as are the jobs after it.
             let job: Job =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-            worker.tx.send(job).expect("shard worker hung up");
-        }
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for worker in &self.workers {
-            match worker.done.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(payload)) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-                // A dead worker cannot be holding the borrow any more;
-                // treat it like a panic so the caller hears about it.
-                Err(_) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(Box::new("shard worker died"));
-                    }
-                }
+            if worker.tx.send(job).is_err() {
+                hung_up = true;
+                break;
             }
+            sent += 1;
+        }
+        let mut first_panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(inline)).err();
+        for worker in &self.workers[..sent] {
+            // A dead worker cannot be holding the borrow any more; treat it
+            // like a panic so the caller hears about it.
+            let done = worker
+                .done
+                .recv()
+                .unwrap_or_else(|_| Err(Box::new("shard worker died")));
+            if let Err(payload) = done {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if hung_up {
+            first_panic.get_or_insert(Box::new("shard worker hung up"));
         }
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
@@ -420,6 +447,7 @@ pub fn steal_plan(loads: &[usize], shards: usize) -> (Vec<usize>, u64) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn spans_cover_cores_exactly_once() {
@@ -513,23 +541,30 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
+    /// Three jobs that each add one to `finished`, except job `panic_at`,
+    /// which panics instead.
+    fn counting_jobs(
+        finished: &AtomicUsize,
+        panic_at: Option<usize>,
+    ) -> Vec<Box<dyn FnOnce() + Send + '_>> {
+        (0..3)
+            .map(|i| {
+                Box::new(move || {
+                    if Some(i) == panic_at {
+                        panic!("shard job failed");
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect()
+    }
+
     #[test]
     fn pool_propagates_worker_panics_after_draining() {
         let pool = WorkerPool::new(3);
         let finished = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..3)
-                .map(|i| {
-                    let f = &finished;
-                    Box::new(move || {
-                        if i == 1 {
-                            panic!("shard job failed");
-                        }
-                        f.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.run_batch(jobs);
+            pool.run_batch(counting_jobs(&finished, Some(1)));
         }));
         assert!(result.is_err(), "panic must propagate to the dispatcher");
         assert_eq!(
@@ -538,10 +573,65 @@ mod tests {
             "non-panicking jobs still ran to completion before the resume"
         );
         // The pool survives a panicked batch.
+        pool.run_batch(counting_jobs(&finished, None));
+
+        // A panicking inline group still waits for every worker job, which
+        // borrow `finished` and must not outlive it. The barriers force the
+        // interleaving: the inline group panics only once every job has
+        // started, and no job finishes before that panic starts unwinding.
+        struct ReleaseOnDrop<'a>(&'a Barrier);
+        impl Drop for ReleaseOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.wait();
+            }
+        }
+        let (started, release) = (Barrier::new(4), Barrier::new(4));
         let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..3)
-            .map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send>)
+            .map(|_| {
+                let (finished, started, release) = (&finished, &started, &release);
+                Box::new(move || {
+                    started.wait();
+                    release.wait();
+                    finished.fetch_add(1, Ordering::Relaxed);
+                }) as Box<dyn FnOnce() + Send>
+            })
             .collect();
-        pool.run_batch(jobs);
+        finished.store(0, Ordering::Relaxed);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run_batch_with(jobs, || {
+                let _release = ReleaseOnDrop(&release);
+                started.wait();
+                panic!("inline group failed");
+            });
+        }));
+        let payload = result.expect_err("the inline panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"inline group failed"));
+        assert_eq!(
+            finished.load(Ordering::Relaxed),
+            3,
+            "every worker job finished before the inline panic resumed"
+        );
+
+        // A worker panic still propagates when the inline group succeeds.
+        let inline_ran = AtomicUsize::new(0);
+        finished.store(0, Ordering::Relaxed);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run_batch_with(counting_jobs(&finished, Some(2)), || {
+                inline_ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }));
+        let payload = result.expect_err("the worker panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard job failed"));
+        assert_eq!(inline_ran.load(Ordering::Relaxed), 1);
+        assert_eq!(finished.load(Ordering::Relaxed), 2);
+
+        // And the pool runs a clean batch afterwards, inline group included.
+        finished.store(0, Ordering::Relaxed);
+        pool.run_batch_with(counting_jobs(&finished, None), || {
+            inline_ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(finished.load(Ordering::Relaxed), 3);
+        assert_eq!(inline_ran.load(Ordering::Relaxed), 2);
     }
 
     #[test]

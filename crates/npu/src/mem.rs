@@ -36,8 +36,18 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// Bytes per page of [`Memory`]'s written-page bitmap.
+const PAGE_BYTES: usize = 4096;
+
 /// Byte-addressed big-endian memory (classic MIPS byte order, matching the
 /// PLASMA core the paper uses).
+///
+/// Memory keeps one bit per 4 KiB page written since the last
+/// [`Memory::clear`]. The store methods and [`Memory::write_bytes`] are
+/// the only ways to change a byte, and each marks the pages it touches, so
+/// an unmarked page is always all zero. `clear` relies on that invariant to
+/// zero only the marked pages: resetting a core costs the pages its last
+/// run wrote, not the whole memory.
 ///
 /// # Examples
 ///
@@ -50,16 +60,29 @@ impl std::error::Error for MemError {}
 /// assert_eq!(mem.load_u16(2).unwrap(), 0x0304);
 /// assert!(mem.load_u32(62).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Eq)]
 pub struct Memory {
     bytes: Vec<u8>,
+    /// One bit per page written since the last clear (page `p` is bit
+    /// `p % 64` of word `p / 64`).
+    written: Vec<u64>,
+}
+
+/// Equality is on contents only: which pages were written since the last
+/// clear is bookkeeping, not state.
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        self.bytes == other.bytes
+    }
 }
 
 impl Memory {
     /// Allocates `size` bytes of zeroed memory.
     pub fn new(size: u32) -> Memory {
+        let pages = (size as usize).div_ceil(PAGE_BYTES);
         Memory {
             bytes: vec![0; size as usize],
+            written: vec![0; pages.div_ceil(64)],
         }
     }
 
@@ -68,9 +91,26 @@ impl Memory {
         self.bytes.len() as u32
     }
 
-    /// Zeroes all of memory.
+    /// Zeroes all of memory by zeroing the pages written since the last
+    /// clear; every other page is already zero.
     pub fn clear(&mut self) {
-        self.bytes.fill(0);
+        for (w, word) in self.written.iter_mut().enumerate() {
+            while *word != 0 {
+                let start = (w * 64 + word.trailing_zeros() as usize) * PAGE_BYTES;
+                let end = (start + PAGE_BYTES).min(self.bytes.len());
+                self.bytes[start..end].fill(0);
+                *word &= *word - 1;
+            }
+        }
+    }
+
+    /// Marks the page holding byte `i` as written. A naturally aligned
+    /// half-word or word never straddles a page, so a scalar store marks
+    /// exactly the page of its first byte.
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        let page = i / PAGE_BYTES;
+        self.written[page / 64] |= 1 << (page % 64);
     }
 
     fn check(&self, addr: u32, width: u32) -> Result<usize, MemError> {
@@ -125,6 +165,7 @@ impl Memory {
     /// Returns [`MemError::OutOfBounds`] past the end of memory.
     pub fn store_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
         let i = self.check(addr, 1)?;
+        self.mark(i);
         self.bytes[i] = value;
         Ok(())
     }
@@ -136,6 +177,7 @@ impl Memory {
     /// Same conditions as [`Memory::load_u16`].
     pub fn store_u16(&mut self, addr: u32, value: u16) -> Result<(), MemError> {
         let i = self.check(addr, 2)?;
+        self.mark(i);
         self.bytes[i..i + 2].copy_from_slice(&value.to_be_bytes());
         Ok(())
     }
@@ -147,6 +189,7 @@ impl Memory {
     /// Same conditions as [`Memory::load_u32`].
     pub fn store_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let i = self.check(addr, 4)?;
+        self.mark(i);
         self.bytes[i..i + 4].copy_from_slice(&value.to_be_bytes());
         Ok(())
     }
@@ -164,7 +207,11 @@ impl Memory {
                 width: data.len() as u32,
             });
         }
-        self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        let (start, end) = (addr as usize, addr as usize + data.len());
+        for page_start in (start / PAGE_BYTES * PAGE_BYTES..end).step_by(PAGE_BYTES) {
+            self.mark(page_start);
+        }
+        self.bytes[start..end].copy_from_slice(data);
         Ok(())
     }
 
@@ -246,5 +293,45 @@ mod tests {
         m.store_u32(0, u32::MAX).unwrap();
         m.clear();
         assert_eq!(m.load_u32(0).unwrap(), 0);
+    }
+
+    /// After any sequence of stores and block writes, `clear` leaves every
+    /// byte equal to a freshly allocated memory's — including blocks that
+    /// straddle pages, the last byte, and a size that is not a page
+    /// multiple.
+    #[test]
+    fn clear_matches_fresh_memory_after_random_writes() {
+        use sdmmon_rng::{Rng, RngCore, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x3E3_0001);
+        for size in [64u32, 5000, crate::runtime::MEM_SIZE] {
+            let fresh = Memory::new(size);
+            let mut m = Memory::new(size);
+            for _ in 0..24 {
+                for _ in 0..rng.gen_range(1..48usize) {
+                    let addr = rng.gen_range(0..size);
+                    match rng.gen_range(0..4u32) {
+                        0 => m.store_u8(addr, rng.gen_range(1..=255u8)).unwrap(),
+                        1 => m.store_u16(addr & !1, rng.gen()).unwrap(),
+                        2 => m.store_u32(addr & !3, rng.next_u32()).unwrap(),
+                        _ => {
+                            let len = rng.gen_range(0..=(size - addr).min(9000));
+                            let mut data = vec![0u8; len as usize];
+                            rng.fill_bytes(&mut data);
+                            m.write_bytes(addr, &data).unwrap();
+                        }
+                    }
+                }
+                m.store_u8(size - 1, 0xff).unwrap();
+                if size > 4096 {
+                    m.write_bytes(4096 - 5, &[0x5a; 11]).unwrap();
+                }
+                assert!(m.read_bytes(0, size).unwrap() != fresh.read_bytes(0, size).unwrap());
+                m.clear();
+                assert!(
+                    m.read_bytes(0, size).unwrap() == fresh.read_bytes(0, size).unwrap(),
+                    "size {size}: clear left written bytes behind"
+                );
+            }
+        }
     }
 }

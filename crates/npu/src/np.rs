@@ -19,7 +19,13 @@
 //! [`shard_of`] plan for [`NetworkProcessor::process_batch`], the
 //! [`steal_plan`] for [`NetworkProcessor::process_stream`], one inline
 //! worker for the serial oracles — then merges events by clock and
-//! outcomes by input index and folds [`NpStats`] on the caller.
+//! outcomes by input index and folds [`NpStats`] on the caller. The
+//! caller thread runs owner group 0 itself while the persistent
+//! [`WorkerPool`] runs groups 1 and up, so a round wakes `shards - 1`
+//! threads and the caller works on a shard instead of only waiting.
+//!
+//! Recovery is cheap on the data path too: [`Core::reset`] zeroes only
+//! the memory pages written since the core's last reset.
 
 use crate::core::{Core, RETIRE_BLOCK};
 use crate::cpu::{ExecutionObserver, NullObserver};
@@ -448,11 +454,12 @@ pub struct NetworkProcessor {
     stats: NpStats,
     policy: SupervisorPolicy,
     /// Desired batch-engine shard count (clamped to the core count at
-    /// dispatch time). One shard executes inline on the caller thread.
+    /// dispatch time). Shard 0 executes inline on the caller thread.
     shards: usize,
-    /// Persistent shard workers, spawned lazily at the first multi-shard
-    /// batch and kept across batches (the PR 1 regression was spawning
-    /// per batch). `None` until then, or while `shards == 1`.
+    /// Persistent workers for shards 1 and up (`shards - 1` threads),
+    /// spawned lazily at the first multi-shard batch and kept across
+    /// batches, since spawning per batch cost more than it saved. `None`
+    /// until then, or while `shards == 1`.
     pool: Option<WorkerPool>,
     /// Optional structured-event sink (see [`sdmmon_obs::EventBus`]).
     /// `None` — the default — is the no-op sink: no event is constructed
@@ -704,10 +711,12 @@ impl NetworkProcessor {
 
     /// Forces a recovery reset of one core outside the normal violation
     /// path (models an operator-commanded or fault-injected mid-run reset).
-    /// Counted in [`NpStats::recoveries`] like any other recovery cycle.
+    /// Counted in [`NpStats::recoveries`] and the `np_recoveries` metric
+    /// like any other recovery cycle.
     pub fn reset_core(&mut self, index: usize) {
         self.slots[index].core.reset();
         self.stats.recoveries += 1;
+        metrics().inc(Counter::NpRecoveries);
     }
 
     /// Processes one packet on the next round-robin core, applying the
@@ -849,8 +858,9 @@ impl NetworkProcessor {
     }
 
     /// Sets the batch-engine shard count. Each shard owns a disjoint,
-    /// contiguous block of cores and runs their queues on one persistent
-    /// worker; one shard means the batch runs inline on the caller thread.
+    /// contiguous block of cores and runs their queues on one thread: shard
+    /// 0 on the caller, shards 1 and up on `shards - 1` persistent pool
+    /// workers, so one shard means the batch runs entirely on the caller.
     /// The count is clamped to `[1, num_cores]` at dispatch time.
     ///
     /// Shard count is a *throughput* knob only: packet→core assignment is
@@ -963,8 +973,10 @@ impl NetworkProcessor {
     /// `owner[core]` names: ascending core order within a worker and each
     /// queue in input order, so no slot is touched by two workers and
     /// per-flow order holds. One worker (or an empty pass) runs inline on
-    /// the caller and ignores `owner`; more run on the persistent
-    /// [`WorkerPool`], each slot handed over by `&mut` borrow.
+    /// the caller and ignores `owner`. With more, the caller runs worker
+    /// 0's group itself while the persistent [`WorkerPool`] runs groups 1
+    /// and up, each slot handed over by `&mut` borrow; the pool has
+    /// `workers - 1` threads and every group finishes before this returns.
     ///
     /// Worker event buffers merge by a stable sort on the packet clock — a
     /// packet's events are contiguous in its worker's buffer and clocks are
@@ -981,8 +993,8 @@ impl NetworkProcessor {
     ) -> Vec<(usize, PacketOutcome)> {
         let pass = self.pass(path, self.trace);
         let workers = if packets.is_empty() { 1 } else { workers };
-        if workers > 1 && self.pool.as_ref().is_none_or(|p| p.len() != workers) {
-            self.pool = Some(WorkerPool::new(workers));
+        if workers > 1 && self.pool.as_ref().is_none_or(|p| p.len() != workers - 1) {
+            self.pool = Some(WorkerPool::new(workers - 1));
         }
         let mut groups: Vec<Vec<(usize, &mut Slot)>> = (0..workers).map(|_| Vec::new()).collect();
         for (core, slot) in self.slots.iter_mut().enumerate() {
@@ -1006,13 +1018,15 @@ impl NetworkProcessor {
                 }
             }
         };
+        let mut work = groups
+            .iter_mut()
+            .zip(outs.iter_mut().zip(buffers.iter_mut()));
+        let (group, (out, events)) = work.next().expect("at least one worker");
         if workers == 1 {
-            run(&mut groups[0], &mut outs[0], &mut buffers[0]);
+            run(group, out, events);
         } else {
             let run = &run;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = groups
-                .iter_mut()
-                .zip(outs.iter_mut().zip(buffers.iter_mut()))
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = work
                 .map(|(group, (out, events))| {
                     Box::new(move || run(group, out, events)) as Box<dyn FnOnce() + Send + '_>
                 })
@@ -1020,7 +1034,7 @@ impl NetworkProcessor {
             self.pool
                 .as_ref()
                 .expect("pool just ensured")
-                .run_batch(jobs);
+                .run_batch_with(jobs, || run(group, out, events));
         }
         if let Some(bus) = &self.bus {
             let mut events: Vec<Event> = buffers.into_iter().flatten().collect();

@@ -9,7 +9,7 @@ use sdmmon_npu::core::Core;
 use sdmmon_npu::cpu::{Cpu, NullObserver, Trap};
 use sdmmon_npu::mem::Memory;
 use sdmmon_npu::programs::{self, testing};
-use sdmmon_npu::runtime::{HaltReason, Verdict};
+use sdmmon_npu::runtime::{HaltReason, Verdict, MEM_SIZE};
 use sdmmon_rng::{Rng, RngCore, SeedableRng, StdRng};
 
 const CASES: usize = 256;
@@ -147,6 +147,74 @@ fn bit_flips_never_crash_the_forwarder() {
         packet[bit / 8] ^= 1 << (bit % 8);
         let out = core.process_packet(&packet, &mut NullObserver);
         assert_eq!(out.halt, HaltReason::Completed);
+    }
+}
+
+/// A reset core is indistinguishable from a freshly installed one: after
+/// hijacks that store anywhere in memory, arbitrary packets, and direct
+/// writes into the program text, `reset` restores every byte of memory,
+/// and the next benign packet runs exactly as on a fresh core.
+#[test]
+fn reset_equals_fresh_install() {
+    let program = programs::vulnerable_forward().expect("workload assembles");
+    let image = program.to_bytes();
+    let install = || {
+        let mut core = Core::new();
+        core.install(&image, program.base);
+        core.set_step_limit(20_000);
+        core
+    };
+    let pristine = install().memory().read_bytes(0, MEM_SIZE).unwrap().to_vec();
+    let text_words = image.len() as u32 / 4;
+    let mut core = install();
+    let mut rng = StdRng::seed_from_u64(0x4B0_000A);
+    for _ in 0..CASES {
+        for _ in 0..rng.gen_range(1..6usize) {
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    // Injected code storing random words at random
+                    // addresses, ending cleanly or in a trap.
+                    let mut code = String::new();
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let addr = rng.gen_range(0..MEM_SIZE / 4) * 4;
+                        code += &format!(
+                            "li $t4, 0x{addr:x}\nli $t5, 0x{:x}\nsw $t5, 0($t4)\n",
+                            rng.next_u32()
+                        );
+                    }
+                    code += if rng.gen() { "break 0" } else { "break 1" };
+                    let attack = testing::hijack_packet(&code).expect("injected code assembles");
+                    core.process_packet(&attack, &mut NullObserver);
+                }
+                1 => {
+                    let mut packet = vec![0u8; rng.gen_range(0..600usize)];
+                    rng.fill_bytes(&mut packet);
+                    core.process_packet(&packet, &mut NullObserver);
+                }
+                2 => {
+                    let addr = program.base + rng.gen_range(0..text_words) * 4;
+                    core.memory_mut().store_u32(addr, rng.next_u32()).unwrap();
+                }
+                _ => {
+                    let mut block = vec![0u8; rng.gen_range(1..9000usize)];
+                    rng.fill_bytes(&mut block);
+                    let addr = rng.gen_range(0..MEM_SIZE - block.len() as u32);
+                    core.memory_mut().write_bytes(addr, &block).unwrap();
+                }
+            }
+        }
+        assert!(core.memory().read_bytes(0, MEM_SIZE).unwrap() != &pristine[..]);
+        core.reset();
+        assert!(
+            core.memory().read_bytes(0, MEM_SIZE).unwrap() == &pristine[..],
+            "reset left memory different from a fresh install"
+        );
+        let dst = rng.gen_range(1..15u8);
+        let good = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, dst], 64, b"after");
+        assert_eq!(
+            core.process_packet(&good, &mut NullObserver),
+            install().process_packet(&good, &mut NullObserver)
+        );
     }
 }
 
