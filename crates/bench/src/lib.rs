@@ -21,11 +21,13 @@
 //! `sdmmon-perf-report-v6`; the earlier `BENCH_PR*.json` files are the
 //! frozen artifacts of prior overhauls). The [`sharded`] sweep also
 //! backs `sdmmon bench`; the [`hashbench`] sweep also backs
-//! `sdmmon bench --hash`; the [`streaming`] scenario also backs
-//! `sdmmon stream`; the [`traceprof`] scenario attributes per-stage
-//! pipeline budgets from span traces and gates tracing overhead.
+//! `sdmmon bench --hash`; the [`traceprof`] scenario attributes per-stage
+//! pipeline budgets from span traces and gates tracing overhead. The
+//! [`hijack`] scenario is the one hijack-salted workload `sdmmon stream`,
+//! `sdmmon trace` and [`traceprof`] all run.
 
 pub mod hashbench;
+pub mod hijack;
 pub mod sharded;
 pub mod streaming;
 pub mod traceprof;

@@ -10,24 +10,18 @@
 //! event plumbing), best-of-`repeats` per side, and the report records the
 //! overhead percentage that `perf_report` gates at ≤ 5%.
 
+use crate::hijack::{HijackScenario, CORES};
 use crate::render_table;
-use sdmmon_monitor::{full_blocks, HardwareMonitor, MerkleTreeHash, MonitoringGraph};
-use sdmmon_net::traffic::{OpenLoopConfig, OpenLoopSource};
-use sdmmon_npu::np::{NetworkProcessor, StreamConfig, StreamReport};
-use sdmmon_npu::programs::{self, testing};
-use sdmmon_npu::supervisor::SupervisorPolicy;
+use sdmmon_monitor::full_blocks;
+use sdmmon_npu::np::{StreamConfig, StreamReport};
 use sdmmon_obs::trace::{
     TraceContext, KIND_FLIGHT, KIND_SPAN_ADMIT, KIND_SPAN_DISPATCH, KIND_SPAN_INGEST,
     KIND_SPAN_RESPOND, KIND_SPAN_VERIFY,
 };
 use sdmmon_obs::{Event, EventBus, Value};
-use sdmmon_rng::{Rng, SeedableRng, StdRng};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Simulated NP core count (a property of the modelled device).
-const CORES: usize = 8;
 
 /// The overhead budget the scenario is gated on, in percent.
 pub const OVERHEAD_GATE_PCT: f64 = 5.0;
@@ -229,36 +223,13 @@ fn field_u64(event: &Event, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs the scenario: the `sdmmon stream` hijack workload, one untimed
+/// Runs the scenario: the [`HijackScenario`] workload, one untimed
 /// traced reference run for the span aggregates and the byte-identity
 /// assertion, then interleaved timed off/on runs for the overhead pair.
 pub fn run(cfg: &TraceProfConfig) -> TraceProfReport {
-    let program = programs::vulnerable_forward().expect("embedded workload assembles");
-    let image = program.to_bytes();
-    let build = || {
-        let mut np = NetworkProcessor::with_policy(CORES, SupervisorPolicy::ladder(2, 2));
-        np.install_all(&image, program.base, |i| {
-            let hash = MerkleTreeHash::new(0x57AE_0000 ^ i as u32);
-            let graph = MonitoringGraph::extract(&program, &hash).expect("graph extracts");
-            Box::new(HardwareMonitor::new(graph, hash))
-        });
-        np.set_shards(cfg.shards);
-        np
-    };
-    let mut source = OpenLoopSource::new(OpenLoopConfig {
-        seed: cfg.seed,
-        ..OpenLoopConfig::default()
-    });
-    let mut rounds = source.take_rounds(cfg.rounds);
-    let attack = testing::hijack_packet("li $t5, 5\nbreak 1").expect("attack assembles");
-    let mut salt = StdRng::seed_from_u64(cfg.seed ^ 0x5A17);
-    for round in &mut rounds {
-        for packet in round.iter_mut() {
-            if salt.gen_range(0..24u32) == 0 {
-                *packet = attack.clone();
-            }
-        }
-    }
+    let scenario = HijackScenario::new(cfg.seed, cfg.rounds);
+    let rounds = &scenario.rounds;
+    let build = || scenario.np(cfg.shards);
     let stream_cfg = StreamConfig {
         shard_capacity: cfg.shard_capacity,
     };
@@ -266,13 +237,13 @@ pub fn run(cfg: &TraceProfConfig) -> TraceProfReport {
 
     // Reference pair, untimed: tracing must not perturb execution.
     let mut plain = build();
-    let expected = plain.process_stream(&rounds, &stream_cfg);
+    let expected = plain.process_stream(rounds, &stream_cfg);
     let expected_stats = plain.stats();
     let bus = Arc::new(EventBus::new());
     let mut traced = build();
     traced.set_event_bus(Some(bus.clone()));
     traced.set_trace(Some(tc));
-    let got = traced.process_stream(&rounds, &stream_cfg);
+    let got = traced.process_stream(rounds, &stream_cfg);
     assert_eq!(
         got.outcomes, expected.outcomes,
         "tracing changed packet outcomes"
@@ -315,14 +286,14 @@ pub fn run(cfg: &TraceProfConfig) -> TraceProfReport {
         let mut np = build();
         np.set_event_bus(Some(Arc::new(EventBus::new())));
         let t = Instant::now();
-        let out = np.process_stream(&rounds, &stream_cfg);
+        let out = np.process_stream(rounds, &stream_cfg);
         pps_off = pps_off.max(out.report.admitted as f64 / t.elapsed().as_secs_f64());
 
         let mut np = build();
         np.set_event_bus(Some(Arc::new(EventBus::new())));
         np.set_trace(Some(tc));
         let t = Instant::now();
-        let out = np.process_stream(&rounds, &stream_cfg);
+        let out = np.process_stream(rounds, &stream_cfg);
         pps_on = pps_on.max(out.report.admitted as f64 / t.elapsed().as_secs_f64());
     }
 

@@ -151,123 +151,103 @@ pub fn fetch_document<R: RngCore>(
 ) -> Result<(Vec<Section>, FetchStats), SdmmonError> {
     let mut stats = FetchStats::default();
     let mut last = String::from("no rounds attempted");
-    let fail = |path: &str, last: &str| SdmmonError::Download(format!("document {path}: {last}"));
-    let finish_metrics = |stats: &FetchStats| {
-        metrics().add(Counter::FleetSectionsFetched, stats.sections_fetched);
-        metrics().add(Counter::FleetSectionsReused, stats.sections_reused);
-    };
+    let mut sections = None;
     for _round in 0..DOC_ROUNDS {
-        // 1. Fixed header. No a-priori checksum exists for it — a corrupted
-        // header fails magic/version/count validation (or the table check
-        // below, via the table checksum it carries) and burns the round.
-        let header = match client.download_range(server, path, 0, HEADER_LEN, None, link, rng) {
-            Ok(r) => r,
-            Err(DownloadError::NotFound { .. }) => {
-                finish_metrics(&stats);
-                return Err(fail(path, "not published"));
+        match fetch_round(client, server, path, link, cache, rng, &mut stats) {
+            Ok(fetched) => {
+                sections = Some(fetched);
+                break;
             }
-            Err(e) => {
-                stats.attempts += attempts_of(&e);
-                last = e.to_string();
-                continue;
+            Err(RoundEnd::NotPublished) => {
+                last = "not published".to_owned();
+                break;
             }
-        };
-        stats.attempts += header.attempts.len() as u64;
-        let count = match TlvBundle::parse_header(&header.bytes) {
-            Ok(c) => c,
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
-        };
-        // 2. Section table, verified against the checksum the header
-        // carries. A lying header makes this range unobtainable; the
-        // bounded range budget burns and the round retries from scratch.
-        let table_sum = u64::from_be_bytes(header.bytes[9..17].try_into().expect("8 bytes"));
-        let table_len = count * TABLE_ENTRY_LEN;
-        let table = match client.download_range(
-            server,
-            path,
-            HEADER_LEN,
-            table_len,
-            Some(table_sum),
-            link,
-            rng,
-        ) {
-            Ok(r) => r,
-            Err(DownloadError::NotFound { .. }) => {
-                finish_metrics(&stats);
-                return Err(fail(path, "not published"));
-            }
-            Err(e) => {
-                stats.attempts += attempts_of(&e);
-                last = e.to_string();
-                continue;
-            }
-        };
-        stats.attempts += table.attempts.len() as u64;
-        let mut prefix = header.bytes.clone();
-        prefix.extend_from_slice(&table.bytes);
-        let entries = match TlvBundle::parse_table(&prefix) {
-            Ok(e) => e,
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
-        };
-        // 3. Each section independently: cache hit or verified ranged
-        // fetch. Verified bytes enter the cache immediately, so a later
-        // round (or a later cycle reusing this cache) skips them.
-        let mut sections = Vec::with_capacity(entries.len());
-        let mut round_failed = false;
-        for (idx, e) in entries.iter().enumerate() {
-            if let Some(bytes) = cache.get(e.tag, e.checksum, e.len) {
-                stats.sections_reused += 1;
-                stats.note_section(idx, 0);
-                sections.push(Section::new(e.tag, bytes));
-                continue;
-            }
-            match client.download_range(server, path, e.offset, e.len, Some(e.checksum), link, rng)
-            {
-                Ok(r) => {
-                    stats.attempts += r.attempts.len() as u64;
-                    stats.sections_fetched += 1;
-                    stats.bytes_fetched += r.bytes.len() as u64;
-                    // Attempts a clean fetch of this range needs.
-                    let min = e.len.div_ceil(client.policy().chunk_bytes).max(1) as u64;
-                    stats.note_section(idx, (r.attempts.len() as u64).saturating_sub(min));
-                    cache.put(e.tag, e.checksum, r.bytes.clone());
-                    sections.push(Section::new(e.tag, r.bytes));
-                }
-                Err(DownloadError::NotFound { .. }) => {
-                    finish_metrics(&stats);
-                    return Err(fail(path, "not published"));
-                }
-                Err(e2) => {
-                    let spent = attempts_of(&e2);
-                    stats.attempts += spent;
-                    stats.note_section(idx, spent);
-                    last = e2.to_string();
-                    round_failed = true;
-                    break;
-                }
-            }
+            Err(RoundEnd::Burned(why)) => last = why,
         }
-        if round_failed {
-            continue;
-        }
-        finish_metrics(&stats);
-        return Ok((sections, stats));
     }
-    finish_metrics(&stats);
-    Err(fail(path, &last))
+    metrics().add(Counter::FleetSectionsFetched, stats.sections_fetched);
+    metrics().add(Counter::FleetSectionsReused, stats.sections_reused);
+    match sections {
+        Some(sections) => Ok((sections, stats)),
+        None => Err(SdmmonError::Download(format!("document {path}: {last}"))),
+    }
 }
 
-fn attempts_of(e: &DownloadError) -> u64 {
-    match e {
-        DownloadError::AttemptsExhausted { attempts, .. } => u64::from(*attempts),
-        DownloadError::NotFound { .. } => 0,
+/// Why one round of [`fetch_document`] ended without the document.
+enum RoundEnd {
+    /// The path is not published: no later round can help.
+    NotPublished,
+    /// A range budget ran out or a header/table failed to parse; the next
+    /// round starts from scratch.
+    Burned(String),
+}
+
+/// One round of [`fetch_document`]: header, table, then every section.
+/// Every transport attempt lands in `stats.attempts`.
+fn fetch_round<R: RngCore>(
+    client: &DownloadClient,
+    server: &mut FlakyServer,
+    path: &str,
+    link: &LossyChannel,
+    cache: &mut SectionCache,
+    rng: &mut R,
+    stats: &mut FetchStats,
+) -> Result<Vec<Section>, RoundEnd> {
+    // One ranged fetch, its attempts booked in `stats`: "not published"
+    // aborts the document, an exhausted budget burns the round.
+    let mut range = |stats: &mut FetchStats, offset, len, expected| {
+        let fetched = client.download_range(server, path, offset, len, expected, link, rng);
+        stats.attempts += match &fetched {
+            Ok(r) => r.attempts.len() as u64,
+            Err(DownloadError::AttemptsExhausted { attempts, .. }) => u64::from(*attempts),
+            Err(DownloadError::NotFound { .. }) => 0,
+        };
+        fetched.map_err(|e| match e {
+            DownloadError::NotFound { .. } => RoundEnd::NotPublished,
+            e => RoundEnd::Burned(e.to_string()),
+        })
+    };
+    // 1. Fixed header. No a-priori checksum exists for it — a corrupted
+    // header fails magic/version/count validation (or the table check
+    // below, via the table checksum it carries) and burns the round.
+    let header = range(stats, 0, HEADER_LEN, None)?;
+    let count =
+        TlvBundle::parse_header(&header.bytes).map_err(|e| RoundEnd::Burned(e.to_string()))?;
+    // 2. Section table, verified against the checksum the header
+    // carries. A lying header makes this range unobtainable; the
+    // bounded range budget burns and the round retries from scratch.
+    let table_sum = u64::from_be_bytes(header.bytes[9..17].try_into().expect("8 bytes"));
+    let table = range(stats, HEADER_LEN, count * TABLE_ENTRY_LEN, Some(table_sum))?;
+    let mut prefix = header.bytes;
+    prefix.extend_from_slice(&table.bytes);
+    let entries = TlvBundle::parse_table(&prefix).map_err(|e| RoundEnd::Burned(e.to_string()))?;
+    // 3. Each section independently: cache hit or verified ranged
+    // fetch. Verified bytes enter the cache immediately, so a later
+    // round (or a later cycle reusing this cache) skips them.
+    let mut sections = Vec::with_capacity(entries.len());
+    for (idx, e) in entries.iter().enumerate() {
+        if let Some(bytes) = cache.get(e.tag, e.checksum, e.len) {
+            stats.sections_reused += 1;
+            stats.note_section(idx, 0);
+            sections.push(Section::new(e.tag, bytes));
+            continue;
+        }
+        let before = stats.attempts;
+        let fetched = range(stats, e.offset, e.len, Some(e.checksum));
+        // Attempts beyond what a clean fetch of this range needs (every
+        // attempt of a failed one).
+        let min = match fetched {
+            Ok(_) => e.len.div_ceil(client.policy().chunk_bytes).max(1) as u64,
+            Err(_) => 0,
+        };
+        stats.note_section(idx, (stats.attempts - before).saturating_sub(min));
+        let r = fetched?;
+        stats.sections_fetched += 1;
+        stats.bytes_fetched += r.bytes.len() as u64;
+        cache.put(e.tag, e.checksum, r.bytes.clone());
+        sections.push(Section::new(e.tag, r.bytes));
     }
+    Ok(sections)
 }
 
 /// Knobs of [`deploy_fleet`] — the fleet-scale deployment campaign.

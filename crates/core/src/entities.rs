@@ -114,7 +114,6 @@ impl Manufacturer {
             manufacturer_key: self.keys.public.clone(),
             np: NetworkProcessor::new(cores),
             installed: vec![None; cores],
-            timing_model: NiosCycleModel::paper(),
             last_sequence: 0,
         }
     }
@@ -577,7 +576,6 @@ pub struct RouterDevice {
     manufacturer_key: RsaPublicKey,
     np: NetworkProcessor,
     installed: Vec<Option<InstalledApp>>,
-    timing_model: NiosCycleModel,
     /// Highest package sequence accepted so far (anti-replay extension).
     last_sequence: u64,
 }
@@ -601,11 +599,6 @@ impl RouterDevice {
     /// Installation record for a core, if programmed.
     pub fn installed(&self, core: usize) -> Option<&InstalledApp> {
         self.installed[core].as_ref()
-    }
-
-    /// Replaces the timing model (e.g. [`NiosCycleModel::modern_cpu`]).
-    pub fn set_timing_model(&mut self, model: NiosCycleModel) {
-        self.timing_model = model;
     }
 
     /// The full secure-installation sequence of the paper's control
@@ -734,7 +727,7 @@ impl RouterDevice {
         }
 
         self.last_sequence = package.sequence;
-        let m = &self.timing_model;
+        let m = NiosCycleModel::paper();
         let modulus_bits = self.keys.public.modulus_bits();
         let timing = InstallTiming {
             check_certificate: m.check_certificate(modulus_bits, certificate.to_bytes().len()),

@@ -18,7 +18,9 @@
 //! Every section carries its own FNV-1a transport checksum in the table, so
 //! a reader that already holds the 17-byte header plus table can fetch each
 //! section independently (`DownloadClient::download_range`), verify it in
-//! isolation, and re-fetch *only* a damaged section. The same checksums key
+//! isolation, and re-fetch *only* a damaged section. That is the same retry
+//! loop a v1 whole-file `DownloadClient::download` runs after its probe;
+//! v2 only narrows the range it verifies. The same checksums key
 //! the delta path: a cache of `(tag, checksum) -> bytes` lets a fleet
 //! upgrade skip every section whose table entry is unchanged since the
 //! installed version.

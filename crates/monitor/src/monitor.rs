@@ -137,11 +137,6 @@ impl<H: InstructionHash> HardwareMonitor<H> {
         &self.graph
     }
 
-    /// The hash function (with its secret parameter).
-    pub fn hash_function(&self) -> &H {
-        &self.hash
-    }
-
     /// Lifetime statistics.
     pub fn stats(&self) -> MonitorStats {
         self.stats

@@ -3,12 +3,15 @@
 //! [`DownloadClient`] drives [`FlakyServer::fetch_chunk`] to completion
 //! under loss, corruption, stalls, and outages: chunked transfer with
 //! resume-after-short-read, bounded exponential backoff with seeded jitter,
-//! and a post-download integrity re-check against the probed transport
-//! checksum (a corrupted assembly is discarded and restarted, still within
-//! the attempt budget). Every duration is *modelled* — nothing sleeps — so
+//! and an integrity re-check of the assembled bytes against their transport
+//! checksum (a corrupted assembly is discarded and refetched, still within
+//! the attempt budget). Both entry points run the same retry loop:
+//! [`DownloadClient::download_range`] over the range it is given, and
+//! [`DownloadClient::download`] over the whole file after a probe for its
+//! size and checksum. Every duration is *modelled* — nothing sleeps — so
 //! a download timeline is a deterministic function of the seeds involved.
 
-use crate::resilience::{transport_checksum, FlakyServer, LossyChannel, TransportError};
+use crate::resilience::{transport_checksum, FileMeta, FlakyServer, LossyChannel, TransportError};
 use sdmmon_obs::{metrics, Counter, Event, Hist};
 use sdmmon_rng::{Rng, RngCore};
 use std::fmt;
@@ -200,9 +203,8 @@ impl DownloadReport {
 }
 
 /// Folds one finished (or abandoned) attempt timeline into the global
-/// metrics registry. Called on every exit path of
-/// [`DownloadClient::download`], success or not, so counters reflect all
-/// transport effort spent.
+/// metrics registry. Called once per download, success or not, so
+/// counters reflect all transport effort spent.
 fn record_download_metrics(attempts: &[Attempt], integrity_restarts: u32, resumed_bytes: usize) {
     let m = metrics();
     m.add(Counter::NetDownloadAttempts, attempts.len() as u64);
@@ -297,10 +299,11 @@ impl DownloadClient {
         &self.policy
     }
 
-    /// Downloads `path` from `server` over `link` to completion: probe,
-    /// chunked transfer with resume, bounded backoff between retries, and
-    /// an integrity re-check of the assembled bytes (mismatch discards the
-    /// assembly and restarts). `rng` drives only the backoff jitter.
+    /// Downloads `path` from `server` over `link` to completion: a probe
+    /// for size and transport checksum, then the verified-range loop of
+    /// [`DownloadClient::download_range`] over the whole file, both inside
+    /// one attempt budget. A checksum mismatch discards the assembly and
+    /// restarts it. `rng` drives only the backoff jitter.
     ///
     /// # Errors
     ///
@@ -313,134 +316,10 @@ impl DownloadClient {
         link: &LossyChannel,
         rng: &mut R,
     ) -> Result<DownloadReport, DownloadError> {
-        let p = &self.policy;
-        let mut attempts: Vec<Attempt> = Vec::new();
-        let mut consecutive = 0u32;
-        let mut last_failure = String::from("no attempts made");
-        let mut integrity_restarts = 0u32;
-        let mut resumed_bytes = 0usize;
-        let mut meta = None;
-        let mut data: Vec<u8> = Vec::new();
-
-        while (attempts.len() as u32) < p.max_attempts {
-            let backoff = p.backoff(consecutive, rng);
-            // Phase 1: probe for size + transport checksum.
-            let Some(m) = meta else {
-                match server.probe(path, link) {
-                    Ok(m) => {
-                        attempts.push(Attempt {
-                            offset: 0,
-                            outcome: AttemptOutcome::Probed,
-                            took: link.channel.latency * 2,
-                            backoff,
-                        });
-                        consecutive = 0;
-                        meta = Some(m);
-                    }
-                    Err(e) if e.is_permanent() => {
-                        record_download_metrics(&attempts, integrity_restarts, resumed_bytes);
-                        return Err(DownloadError::NotFound {
-                            path: path.to_owned(),
-                        });
-                    }
-                    Err(e) => {
-                        attempts.push(Attempt {
-                            offset: 0,
-                            outcome: failure_outcome(&e),
-                            took: e.wasted(),
-                            backoff,
-                        });
-                        consecutive += 1;
-                        last_failure = e.to_string();
-                    }
-                }
-                continue;
-            };
-            // Phase 2: assembled — verify end to end.
-            if data.len() >= m.len {
-                if transport_checksum(&data) == m.checksum {
-                    record_download_metrics(&attempts, integrity_restarts, resumed_bytes);
-                    return Ok(DownloadReport {
-                        bytes: data,
-                        attempts,
-                        integrity_restarts,
-                        resumed_bytes,
-                    });
-                }
-                attempts.push(Attempt {
-                    offset: data.len(),
-                    outcome: AttemptOutcome::IntegrityReject,
-                    took: Duration::ZERO,
-                    backoff,
-                });
-                data.clear();
-                integrity_restarts += 1;
-                consecutive += 1;
-                last_failure = "integrity re-check failed (corrupted transfer)".to_owned();
-                continue;
-            }
-            // Phase 3: fetch the next chunk, resuming at the current offset.
-            let offset = data.len();
-            let want = p.chunk_bytes.min(m.len - offset);
-            match server.fetch_chunk(path, offset, want, link) {
-                Ok(chunk) => {
-                    let got = chunk.bytes.len();
-                    data.extend_from_slice(&chunk.bytes);
-                    if chunk.complete {
-                        attempts.push(Attempt {
-                            offset,
-                            outcome: AttemptOutcome::Chunk(got),
-                            took: chunk.took,
-                            backoff,
-                        });
-                        consecutive = 0;
-                    } else {
-                        // Short read: keep the prefix, back off, resume.
-                        attempts.push(Attempt {
-                            offset,
-                            outcome: AttemptOutcome::ShortRead(got),
-                            took: chunk.took,
-                            backoff,
-                        });
-                        resumed_bytes += got;
-                        consecutive += 1;
-                        last_failure = format!("connection lost after {got} bytes");
-                    }
-                }
-                Err(e) if e.is_permanent() => {
-                    record_download_metrics(&attempts, integrity_restarts, resumed_bytes);
-                    return Err(DownloadError::NotFound {
-                        path: path.to_owned(),
-                    });
-                }
-                Err(e) => {
-                    attempts.push(Attempt {
-                        offset,
-                        outcome: failure_outcome(&e),
-                        took: e.wasted(),
-                        backoff,
-                    });
-                    consecutive += 1;
-                    last_failure = e.to_string();
-                }
-            }
-        }
-        // Budget exhausted; one final integrity verdict if fully assembled.
-        record_download_metrics(&attempts, integrity_restarts, resumed_bytes);
-        if let Some(m) = meta {
-            if data.len() >= m.len && transport_checksum(&data) == m.checksum {
-                return Ok(DownloadReport {
-                    bytes: data,
-                    attempts,
-                    integrity_restarts,
-                    resumed_bytes,
-                });
-            }
-        }
-        Err(DownloadError::AttemptsExhausted {
-            path: path.to_owned(),
-            attempts: attempts.len() as u32,
-            last: last_failure,
+        self.transfer(server, path, link, rng, |t| {
+            let meta = t.probe()?;
+            let give_up = "integrity re-check failed (corrupted transfer)";
+            t.fetch(0, meta.len, Some(meta.checksum), give_up)
         })
     }
 
@@ -473,98 +352,183 @@ impl DownloadClient {
         link: &LossyChannel,
         rng: &mut R,
     ) -> Result<DownloadReport, DownloadError> {
-        let p = &self.policy;
-        let mut attempts: Vec<Attempt> = Vec::new();
-        let mut consecutive = 0u32;
-        let mut last_failure = String::from("no attempts made");
-        let mut integrity_restarts = 0u32;
-        let mut resumed_bytes = 0usize;
-        let mut data: Vec<u8> = Vec::new();
+        self.transfer(server, path, link, rng, |t| {
+            let give_up = "range checksum mismatch (corrupted section)";
+            t.fetch(offset, len, expected, give_up)
+        })
+    }
 
-        while data.len() < len || expected.is_some_and(|want| transport_checksum(&data) != want) {
-            if attempts.len() as u32 >= p.max_attempts {
-                record_download_metrics(&attempts, integrity_restarts, resumed_bytes);
-                return Err(DownloadError::AttemptsExhausted {
-                    path: path.to_owned(),
-                    attempts: attempts.len() as u32,
-                    last: last_failure,
-                });
-            }
-            let backoff = p.backoff(consecutive, rng);
-            if data.len() >= len {
-                // Assembled but failed the per-range checksum: discard and
-                // refetch this range alone.
-                attempts.push(Attempt {
-                    offset: offset + data.len(),
-                    outcome: AttemptOutcome::IntegrityReject,
-                    took: Duration::ZERO,
-                    backoff,
-                });
-                data.clear();
-                integrity_restarts += 1;
-                consecutive += 1;
-                last_failure = "range checksum mismatch (corrupted section)".to_owned();
-                continue;
-            }
-            let at = offset + data.len();
-            let want = p.chunk_bytes.min(len - data.len());
-            match server.fetch_chunk(path, at, want, link) {
-                Ok(chunk) => {
-                    let got = chunk.bytes.len();
-                    data.extend_from_slice(&chunk.bytes);
-                    if chunk.complete && got == want {
-                        attempts.push(Attempt {
-                            offset: at,
-                            outcome: AttemptOutcome::Chunk(got),
-                            took: chunk.took,
-                            backoff,
-                        });
-                        consecutive = 0;
-                    } else {
-                        attempts.push(Attempt {
-                            offset: at,
-                            outcome: AttemptOutcome::ShortRead(got),
-                            took: chunk.took,
-                            backoff,
-                        });
-                        resumed_bytes += got;
-                        consecutive += 1;
-                        last_failure = format!("connection lost after {got} bytes");
-                    }
-                }
-                Err(e) if e.is_permanent() => {
-                    record_download_metrics(&attempts, integrity_restarts, resumed_bytes);
-                    return Err(DownloadError::NotFound {
-                        path: path.to_owned(),
-                    });
-                }
-                Err(e) => {
-                    attempts.push(Attempt {
-                        offset: at,
-                        outcome: failure_outcome(&e),
-                        took: e.wasted(),
-                        backoff,
-                    });
-                    consecutive += 1;
-                    last_failure = e.to_string();
-                }
-            }
-        }
-        record_download_metrics(&attempts, integrity_restarts, resumed_bytes);
+    /// Runs `body` as one transfer, then folds its attempt log into the
+    /// metrics registry, whatever the outcome.
+    fn transfer<R: RngCore>(
+        &self,
+        server: &mut FlakyServer,
+        path: &str,
+        link: &LossyChannel,
+        rng: &mut R,
+        body: impl FnOnce(&mut Transfer<'_, R>) -> Result<Vec<u8>, DownloadError>,
+    ) -> Result<DownloadReport, DownloadError> {
+        let mut t = Transfer {
+            policy: &self.policy,
+            server,
+            path,
+            link,
+            rng,
+            attempts: Vec::new(),
+            consecutive: 0,
+            last_failure: String::from("no attempts made"),
+            integrity_restarts: 0,
+            resumed_bytes: 0,
+        };
+        let bytes = body(&mut t);
+        record_download_metrics(&t.attempts, t.integrity_restarts, t.resumed_bytes);
         Ok(DownloadReport {
-            bytes: data,
-            attempts,
-            integrity_restarts,
-            resumed_bytes,
+            bytes: bytes?,
+            attempts: t.attempts,
+            integrity_restarts: t.integrity_restarts,
+            resumed_bytes: t.resumed_bytes,
         })
     }
 }
 
-/// Maps a transient transport error to its attempt-log outcome.
-fn failure_outcome(e: &TransportError) -> AttemptOutcome {
-    match e {
-        TransportError::Unavailable { .. } => AttemptOutcome::Refused,
-        _ => AttemptOutcome::Stalled,
+/// One download in flight: the attempt log and retry state both entry
+/// points share. Every transport attempt is a [`Transfer::probe`] or a
+/// pass of the one retry loop, [`Transfer::fetch`].
+struct Transfer<'a, R> {
+    policy: &'a RetryPolicy,
+    server: &'a mut FlakyServer,
+    path: &'a str,
+    link: &'a LossyChannel,
+    rng: &'a mut R,
+    attempts: Vec<Attempt>,
+    /// Failures since the last delivering attempt (drives the backoff).
+    consecutive: u32,
+    last_failure: String,
+    integrity_restarts: u32,
+    resumed_bytes: usize,
+}
+
+impl<R: RngCore> Transfer<'_, R> {
+    /// Probes for the file's size and transport checksum.
+    fn probe(&mut self) -> Result<FileMeta, DownloadError> {
+        loop {
+            let backoff = self.next_backoff()?;
+            match self.server.probe(self.path, self.link) {
+                Ok(meta) => {
+                    let took = self.link.channel.latency * 2;
+                    self.log(0, AttemptOutcome::Probed, took, backoff, None);
+                    return Ok(meta);
+                }
+                Err(e) => self.transport_failure(0, e, backoff)?,
+            }
+        }
+    }
+
+    /// The retry loop: assembles the `len` bytes at `offset` chunk by
+    /// chunk, resuming after short reads, until they match `expected`
+    /// (when given). A mismatch discards the assembly and refetches it,
+    /// with `give_up` as the failure an exhausted budget then reports.
+    fn fetch(
+        &mut self,
+        offset: usize,
+        len: usize,
+        expected: Option<u64>,
+        give_up: &str,
+    ) -> Result<Vec<u8>, DownloadError> {
+        let mut data: Vec<u8> = Vec::new();
+        while data.len() < len || expected.is_some_and(|want| transport_checksum(&data) != want) {
+            let backoff = self.next_backoff()?;
+            let at = offset + data.len();
+            if data.len() >= len {
+                // Assembled but failed the checksum: discard and refetch.
+                self.log(
+                    at,
+                    AttemptOutcome::IntegrityReject,
+                    Duration::ZERO,
+                    backoff,
+                    Some(give_up.to_owned()),
+                );
+                data.clear();
+                self.integrity_restarts += 1;
+                continue;
+            }
+            let want = self.policy.chunk_bytes.min(len - data.len());
+            match self.server.fetch_chunk(self.path, at, want, self.link) {
+                Ok(chunk) => {
+                    let got = chunk.bytes.len();
+                    data.extend_from_slice(&chunk.bytes);
+                    if chunk.complete && got == want {
+                        self.log(at, AttemptOutcome::Chunk(got), chunk.took, backoff, None);
+                    } else {
+                        // Short read: keep the prefix, back off, resume.
+                        self.resumed_bytes += got;
+                        let why = Some(format!("connection lost after {got} bytes"));
+                        self.log(at, AttemptOutcome::ShortRead(got), chunk.took, backoff, why);
+                    }
+                }
+                Err(e) => self.transport_failure(at, e, backoff)?,
+            }
+        }
+        Ok(data)
+    }
+
+    /// The backoff before the next attempt, or the give-up error once the
+    /// attempt budget is spent.
+    fn next_backoff(&mut self) -> Result<Duration, DownloadError> {
+        if self.attempts.len() as u32 >= self.policy.max_attempts {
+            return Err(DownloadError::AttemptsExhausted {
+                path: self.path.to_owned(),
+                attempts: self.attempts.len() as u32,
+                last: self.last_failure.clone(),
+            });
+        }
+        Ok(self.policy.backoff(self.consecutive, self.rng))
+    }
+
+    /// Appends one attempt. A delivering one (`failure` = `None`) ends the
+    /// backoff streak; a failed one extends it and becomes the reason a
+    /// give-up reports.
+    fn log(
+        &mut self,
+        offset: usize,
+        outcome: AttemptOutcome,
+        took: Duration,
+        backoff: Duration,
+        failure: Option<String>,
+    ) {
+        self.attempts.push(Attempt {
+            offset,
+            outcome,
+            took,
+            backoff,
+        });
+        match failure {
+            None => self.consecutive = 0,
+            Some(why) => {
+                self.consecutive += 1;
+                self.last_failure = why;
+            }
+        }
+    }
+
+    /// Logs a transient transport error as a failed attempt; a permanent
+    /// one ends the download without an entry.
+    fn transport_failure(
+        &mut self,
+        offset: usize,
+        e: TransportError,
+        backoff: Duration,
+    ) -> Result<(), DownloadError> {
+        let outcome = match e {
+            TransportError::NotFound { .. } => {
+                let path = self.path.to_owned();
+                return Err(DownloadError::NotFound { path });
+            }
+            TransportError::Unavailable { .. } => AttemptOutcome::Refused,
+            TransportError::Timeout { .. } => AttemptOutcome::Stalled,
+        };
+        self.log(offset, outcome, e.wasted(), backoff, Some(e.to_string()));
+        Ok(())
     }
 }
 

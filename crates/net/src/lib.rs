@@ -20,8 +20,9 @@
 //!   [`resilience::FlakyServer`] wrapper with outage windows and
 //!   blackholed paths
 //! * [`download`] — a retrying [`download::DownloadClient`] with bounded
-//!   exponential backoff + jitter, chunked resumable transfer, and a
-//!   post-download integrity re-check
+//!   exponential backoff + jitter, chunked resumable transfer, and an
+//!   integrity re-check of every assembly; whole-file downloads and
+//!   ranged section fetches run the same retry loop
 //!
 //! # Examples
 //!

@@ -144,11 +144,6 @@ impl GilbertElliott {
     pub fn step(&mut self) -> bool {
         self.params.step(&mut self.bad, &mut self.rng)
     }
-
-    /// True while the channel sits in the bad state.
-    pub fn in_bad(&self) -> bool {
-        self.bad
-    }
 }
 
 /// A [`Channel`] with seeded link-level fault probabilities.
@@ -401,8 +396,8 @@ impl FlakyServer {
         self.stats.attempts
     }
 
-    /// Checks outage/blackhole gates shared by probe and fetch. Increments
-    /// the attempt clock.
+    /// The fault gates every probe and fetch passes first, in the module
+    /// docs' order: outage, blackhole, stall. Increments the attempt clock.
     fn gate(&mut self, path: &str, link: &LossyChannel) -> Result<(), TransportError> {
         let n = self.stats.attempts;
         self.stats.attempts += 1;
@@ -415,6 +410,12 @@ impl FlakyServer {
         }
         if self.blackholes.contains(path) {
             self.stats.blackholed += 1;
+            return Err(TransportError::Timeout {
+                wasted: link.stall_timeout,
+            });
+        }
+        if link.stall > 0.0 && self.rng.gen_bool(link.stall) {
+            self.stats.stalls += 1;
             return Err(TransportError::Timeout {
                 wasted: link.stall_timeout,
             });
@@ -432,12 +433,6 @@ impl FlakyServer {
     /// Unknown paths are counted as server-side misses.
     pub fn probe(&mut self, path: &str, link: &LossyChannel) -> Result<FileMeta, TransportError> {
         self.gate(path, link)?;
-        if link.stall > 0.0 && self.rng.gen_bool(link.stall) {
-            self.stats.stalls += 1;
-            return Err(TransportError::Timeout {
-                wasted: link.stall_timeout,
-            });
-        }
         match self.server.stat(path) {
             Some(bytes) => Ok(FileMeta {
                 len: bytes.len(),
@@ -474,12 +469,6 @@ impl FlakyServer {
         link: &LossyChannel,
     ) -> Result<Chunk, TransportError> {
         self.gate(path, link)?;
-        if link.stall > 0.0 && self.rng.gen_bool(link.stall) {
-            self.stats.stalls += 1;
-            return Err(TransportError::Timeout {
-                wasted: link.stall_timeout,
-            });
-        }
         let (mut bytes, _) = self
             .server
             .fetch_range(path, offset, len, &link.channel)

@@ -218,11 +218,6 @@ impl DecodeCache {
         self.base
     }
 
-    /// Number of cached text words.
-    pub fn len_words(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Marks every slot stale, forcing re-decode on next fetch. Used when
     /// memory is mutated behind the cache's back (e.g. direct test access).
     pub fn invalidate_all(&mut self) {

@@ -566,11 +566,6 @@ impl NetworkProcessor {
         self.trace = trace;
     }
 
-    /// The active trace context, if any.
-    pub fn trace_context(&self) -> Option<TraceContext> {
-        self.trace
-    }
-
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.slots.len()

@@ -44,6 +44,18 @@
 //! key is gone and only an operator re-install
 //! ([`CoreHealth::reinstated`]) rehabilitates them.
 //!
+//! The two mechanisms stay separate, folded with `max`, because the strike
+//! ladder cannot be restated as [`AdaptiveConfig`] settings without
+//! changing pinned byte streams. `ladder(2, ·)` must redeploy after a fresh
+//! pair of unclean halts, where the fast deviation EWMA reads 234 at the
+//! default shift 3. It must not redeploy after ten unclean halts, one clean
+//! packet and one more unclean halt, where the same EWMA reads 689 with a
+//! single strike. So no threshold on the EWMA reproduces the strike
+//! counter. [`AdaptiveConfig::off`] (`enabled: false`) could only become an
+//! inert magic shift, and the benchmark harness (`perfbench/`) builds a
+//! policy naming `redeploy_after`, `quarantine_after`, `adaptive` and
+//! `critical` in a struct literal.
+//!
 //! All state is plain integers; given the same packet sequence the graded
 //! supervisor replays identically, at every shard count.
 

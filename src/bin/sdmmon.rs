@@ -196,19 +196,28 @@ fn write_observability(
     Ok(())
 }
 
-/// Tiny flag parser: positional arguments plus `--flag value` options.
+/// Tiny flag parser: positional arguments, `--flag value` options and
+/// value-less switches such as `--quick`.
 struct Args<'a> {
     positional: Vec<&'a str>,
     options: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
 impl<'a> Args<'a> {
-    fn parse(args: &'a [String], known_flags: &[&str]) -> Result<Args<'a>, CliError> {
+    fn parse(
+        args: &'a [String],
+        known_flags: &[&str],
+        known_switches: &[&str],
+    ) -> Result<Args<'a>, CliError> {
         let mut positional = Vec::new();
         let mut options = Vec::new();
+        let mut switches = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if a.starts_with('-') {
+            if known_switches.contains(&a.as_str()) {
+                switches.push(a.as_str());
+            } else if a.starts_with('-') {
                 if !known_flags.contains(&a.as_str()) {
                     return Err(usage(format!("unknown option `{a}`")));
                 }
@@ -223,7 +232,26 @@ impl<'a> Args<'a> {
         Ok(Args {
             positional,
             options,
+            switches,
         })
+    }
+
+    /// Parses a command that takes options only: a stray positional
+    /// argument is rejected like an unknown option.
+    fn options_only(
+        args: &'a [String],
+        known_flags: &[&str],
+        known_switches: &[&str],
+    ) -> Result<Args<'a>, CliError> {
+        let a = Args::parse(args, known_flags, known_switches)?;
+        match a.positional.first() {
+            Some(stray) => Err(usage(format!("unknown option `{stray}`"))),
+            None => Ok(a),
+        }
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.switches.contains(&name)
     }
 
     fn option(&self, flag: &str) -> Option<&str> {
@@ -286,7 +314,7 @@ fn assemble_file(path: &str, base: u32) -> Result<sdmmon::isa::asm::Program, Cli
 }
 
 fn cmd_asm(args: &[String]) -> Result<(), CliError> {
-    let a = Args::parse(args, &["-o", "--base"])?;
+    let a = Args::parse(args, &["-o", "--base"], &[])?;
     let [input] = a.positional[..] else {
         return Err(usage("asm expects exactly one input file"));
     };
@@ -318,7 +346,7 @@ fn cmd_asm(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
-    let a = Args::parse(args, &["--base"])?;
+    let a = Args::parse(args, &["--base"], &[])?;
     let [input] = a.positional[..] else {
         return Err(usage("disasm expects exactly one input file"));
     };
@@ -343,7 +371,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_graph(args: &[String]) -> Result<(), CliError> {
-    let a = Args::parse(args, &["--param", "--compression", "--base"])?;
+    let a = Args::parse(args, &["--param", "--compression", "--base"], &[])?;
     let [input] = a.positional[..] else {
         return Err(usage("graph expects exactly one input file"));
     };
@@ -400,6 +428,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let a = Args::parse(
         args,
         &["--packet", "--param", "--trace", "--base", "--compression"],
+        &[],
     )?;
     let [input] = a.positional[..] else {
         return Err(usage("run expects exactly one input file"));
@@ -618,6 +647,7 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
             "--events",
             "--metrics",
         ],
+        &[],
     )?;
     if !a.positional.is_empty() {
         return Err(usage("deploy takes no positional arguments"));
@@ -749,7 +779,9 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
         }
         // Heal any flip a clean completion left behind, then run clean
         // batches until the parole clock walks the core back to a full
-        // dispatch share (quarantine -> throttled -> full).
+        // dispatch share (quarantine -> throttled -> full). A router whose
+        // only core sits in quarantine has nothing left to dispatch to, so
+        // its core stays out of dispatch.
         router.reset_core(victim);
         let clean: Vec<Vec<u8>> = (0..8u8)
             .map(|i| {
@@ -762,6 +794,9 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
             })
             .collect();
         for _ in 0..(2 * parole_batches + 1) {
+            if router.active_cores().is_empty() {
+                break;
+            }
             router.process_batch(&clean);
         }
         router.set_event_bus(None);
@@ -886,54 +921,28 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     use sdmmon::bench::hashbench::{self, HashBenchConfig};
     use sdmmon::bench::sharded::{self, ShardedConfig};
 
-    // `--quick` is a switch (no value), so this command parses by hand
-    // rather than through the value-flag parser the other commands share.
-    let mut quick = false;
-    let mut hash = false;
-    let mut max_shards = None;
-    let mut events_path = None;
-    let mut metrics_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--hash" => hash = true,
-            "--shards" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("option `--shards` needs a value"))?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| usage(format!("cannot parse shard count `{v}`")))?;
-                if n == 0 {
-                    return Err(usage("--shards must be nonzero"));
-                }
-                max_shards = Some(n);
-            }
-            "--events" => {
-                events_path = Some(
-                    it.next()
-                        .ok_or_else(|| usage("option `--events` needs a value"))?
-                        .as_str(),
-                );
-            }
-            "--metrics" => {
-                metrics_path = Some(
-                    it.next()
-                        .ok_or_else(|| usage("option `--metrics` needs a value"))?
-                        .as_str(),
-                );
-            }
-            other => return Err(usage(format!("unknown option `{other}`"))),
-        }
-    }
+    let a = Args::options_only(
+        args,
+        &["--shards", "--events", "--metrics"],
+        &["--quick", "--hash"],
+    )?;
+    let quick = a.switch("--quick");
+    let max_shards = a
+        .option("--shards")
+        .map(|v| match v.parse::<usize>() {
+            Ok(0) => Err(usage("--shards must be nonzero")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(usage(format!("cannot parse shard count `{v}`"))),
+        })
+        .transpose()?;
+    let (events_path, metrics_path) = (a.option("--events"), a.option("--metrics"));
 
     // `--hash` runs the bit-sliced hash scenario instead of the sharded
     // sweep and gates the SWAR win: the headline compression (sip — the
     // one whose scalar tree the compiler cannot collapse, so the ratio is
     // the honest tree-vs-SWAR comparison; see `hashbench::headline`) must
     // hash at least 4x faster bit-sliced than scalar, or the bench fails.
-    if hash {
+    if a.switch("--hash") {
         let report = hashbench::run(&HashBenchConfig::new(quick));
         print!("{}", report.table());
         let headline = report.headline();
@@ -988,32 +997,12 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 fn cmd_frontier(args: &[String]) -> Result<(), CliError> {
     use sdmmon::testkit::frontier::{frontier_json, frontier_table, run_frontier, FrontierConfig};
 
-    // `--quick` is a switch (no value), so parse by hand like `bench`.
-    let mut quick = false;
-    let mut seed = 0xF407u64;
-    let mut out = "target/FRONTIER.json";
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("option `--seed` needs a value"))?;
-                seed = parse_u64(v, "seed")?;
-            }
-            "--out" => {
-                out = it
-                    .next()
-                    .ok_or_else(|| usage("option `--out` needs a value"))?
-                    .as_str();
-            }
-            other => return Err(usage(format!("unknown option `{other}`"))),
-        }
-    }
+    let a = Args::options_only(args, &["--seed", "--out"], &["--quick"])?;
+    let seed = a.number("--seed", "seed")?.unwrap_or(0xF407);
+    let out = a.option("--out").unwrap_or("target/FRONTIER.json");
 
     let mut cfg = FrontierConfig::new(seed);
-    if quick {
+    if a.switch("--quick") {
         cfg = cfg.quick();
     }
     let report = run_frontier(&cfg).map_err(processing)?;
@@ -1052,6 +1041,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
             "--events",
             "--metrics",
         ],
+        &[],
     )?;
     if !a.positional.is_empty() {
         return Err(usage("campaign takes no positional arguments"));
@@ -1109,91 +1099,50 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
 /// a pure function of the seed: running the command twice must produce the
 /// identical file, which is exactly what `ci.sh` gates.
 fn cmd_stream(args: &[String]) -> Result<(), CliError> {
-    use sdmmon::net::traffic::{OpenLoopConfig, OpenLoopSource};
-    use sdmmon::npu::np::{NetworkProcessor, StreamConfig};
-    use sdmmon::npu::programs::{self, testing};
-    use sdmmon::npu::supervisor::SupervisorPolicy;
+    use sdmmon::bench::hijack::{HijackScenario, CORES};
+    use sdmmon::npu::np::StreamConfig;
     use sdmmon::obs::{percentile, Hist};
-    use sdmmon_rng::{Rng, SeedableRng, StdRng};
 
-    // `--quick` is a switch (no value), so parse by hand like `bench`.
-    let mut quick = false;
-    let mut seed = 0x57AEu64;
-    let mut shards = 4usize;
-    let mut rounds_override = None;
-    let mut capacity = 48usize;
-    let mut out = "target/STREAM.json";
-    let mut metrics_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| usage(format!("option `{flag}` needs a value")))
-        };
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--seed" => seed = parse_u64(value("--seed")?, "seed")?,
-            "--shards" => shards = parse_u64(value("--shards")?, "shards")? as usize,
-            "--rounds" => rounds_override = Some(parse_u64(value("--rounds")?, "rounds")? as usize),
-            "--capacity" => capacity = parse_u64(value("--capacity")?, "capacity")? as usize,
-            "--out" => out = value("--out")?.as_str(),
-            "--metrics" => metrics_path = Some(value("--metrics")?.as_str()),
-            other => return Err(usage(format!("unknown option `{other}`"))),
-        }
-    }
-    let round_count = rounds_override.unwrap_or(if quick { 6 } else { 24 });
+    let a = Args::options_only(
+        args,
+        &[
+            "--seed",
+            "--shards",
+            "--rounds",
+            "--capacity",
+            "--out",
+            "--metrics",
+        ],
+        &["--quick"],
+    )?;
+    let seed = a.number("--seed", "seed")?.unwrap_or(0x57AE);
+    let shards = a.number("--shards", "shards")?.unwrap_or(4) as usize;
+    let default_rounds = if a.switch("--quick") { 6 } else { 24 };
+    let round_count = a.number("--rounds", "rounds")?.unwrap_or(default_rounds) as usize;
+    let capacity = a.number("--capacity", "capacity")?.unwrap_or(48) as usize;
+    let out = a.option("--out").unwrap_or("target/STREAM.json");
+    let metrics_path = a.option("--metrics");
     if shards == 0 || capacity == 0 || round_count == 0 {
         return Err(usage("shards, capacity and rounds must be nonzero"));
     }
-    const CORES: usize = 8;
     if shards > CORES {
         return Err(usage(format!(
             "at most {CORES} shards on an {CORES}-core NP"
         )));
     }
 
-    // Monitored vulnerable forwarder with the graded supervisor armed, so
-    // the byte-identity check covers escalation, forensics, and parole —
-    // not just clean forwarding.
-    let program = programs::vulnerable_forward().map_err(processing)?;
-    let image = program.to_bytes();
-    let policy = SupervisorPolicy::ladder(2, 2);
-    let build = || {
-        let mut np = NetworkProcessor::with_policy(CORES, policy);
-        np.install_all(&image, program.base, |i| {
-            let hash = MerkleTreeHash::new(0x57AE_0000 ^ i as u32);
-            let graph =
-                MonitoringGraph::extract(&program, &hash).expect("embedded workload extracts");
-            Box::new(HardwareMonitor::new(graph, hash))
-        });
-        np.set_shards(shards);
-        np
-    };
-
-    // Open-loop rounds salted with hijacks: the source keeps offering
-    // whether or not the NP keeps up (backpressure), and the attacks walk
-    // the supervisor ladder mid-stream.
-    let mut source = OpenLoopSource::new(OpenLoopConfig {
-        seed,
-        ..OpenLoopConfig::default()
-    });
-    let mut rounds = source.take_rounds(round_count);
-    let attack =
-        testing::hijack_packet("li $t5, 5\nbreak 1").map_err(|e| processing(format!("{e:?}")))?;
-    let mut salt = StdRng::seed_from_u64(seed ^ 0x5A17);
-    for round in &mut rounds {
-        for packet in round.iter_mut() {
-            if salt.gen_range(0..24u32) == 0 {
-                *packet = attack.clone();
-            }
-        }
-    }
+    // The hijack scenario keeps offering whether or not the NP keeps up
+    // (backpressure), and its attacks walk the supervisor ladder
+    // mid-stream, so the byte-identity check covers escalation,
+    // forensics, and parole — not just clean forwarding.
+    let scenario = HijackScenario::new(seed, round_count);
+    let rounds = &scenario.rounds;
     let cfg = StreamConfig {
         shard_capacity: capacity,
     };
 
-    let mut np = build();
-    let streamed = np.process_stream(&rounds, &cfg);
+    let mut np = scenario.np(shards);
+    let streamed = np.process_stream(rounds, &cfg);
     let stream_stats = np.stats();
     // Queue-delay percentiles from the streaming run only (the oracle
     // below records into the same process-global histogram).
@@ -1204,8 +1153,8 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
         percentile(&delay, 999),
     );
 
-    let mut oracle = build();
-    let want = oracle.process_stream_serial(&rounds, &cfg);
+    let mut oracle = scenario.np(shards);
+    let want = oracle.process_stream_serial(rounds, &cfg);
     // The oracle never steals, so compare everything but the steal count.
     let accounting =
         |r: sdmmon::npu::np::StreamReport| (r.rounds, r.offered, r.admitted, r.dropped);
@@ -1280,52 +1229,44 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
 /// count). `--perfetto` additionally exports a Chrome/Perfetto
 /// `traceEvents` JSON using the logical clocks as timestamps.
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
+    use sdmmon::bench::hijack::{HijackScenario, CORES};
     use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
-    use sdmmon::net::traffic::{OpenLoopConfig, OpenLoopSource};
-    use sdmmon::npu::np::{NetworkProcessor, StreamConfig};
-    use sdmmon::npu::programs::{self, testing};
-    use sdmmon::npu::supervisor::SupervisorPolicy;
+    use sdmmon::npu::np::StreamConfig;
     use sdmmon::obs::trace::TraceContext;
     use sdmmon::obs::{assemble_traces, write_json_string, TRACE_SCHEMA};
-    use sdmmon_rng::{Rng, SeedableRng, StdRng};
     use std::sync::Arc;
 
-    let mut quick = false;
-    let mut seed = 0x57AEu64;
-    let mut shards = 4usize;
-    let mut rounds_override = None;
-    let mut sample = 64u64;
-    let mut out = "target/TRACE.json";
-    let mut perfetto_path = None;
-    let mut events_path = None;
-    let mut metrics_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| usage(format!("option `{flag}` needs a value")))
-        };
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--seed" => seed = parse_u64(value("--seed")?, "seed")?,
-            "--shards" => shards = parse_u64(value("--shards")?, "shards")? as usize,
-            "--rounds" => rounds_override = Some(parse_u64(value("--rounds")?, "rounds")? as usize),
-            "--sample" => sample = parse_u64(value("--sample")?, "sample")?,
-            "--out" => out = value("--out")?.as_str(),
-            "--perfetto" => perfetto_path = Some(value("--perfetto")?.as_str()),
-            "--events" => events_path = Some(value("--events")?.as_str()),
-            "--metrics" => metrics_path = Some(value("--metrics")?.as_str()),
-            other => return Err(usage(format!("unknown option `{other}`"))),
-        }
-    }
-    let round_count = rounds_override.unwrap_or(if quick { 6 } else { 24 });
+    let a = Args::options_only(
+        args,
+        &[
+            "--seed",
+            "--shards",
+            "--rounds",
+            "--sample",
+            "--out",
+            "--perfetto",
+            "--events",
+            "--metrics",
+        ],
+        &["--quick"],
+    )?;
+    let quick = a.switch("--quick");
+    let seed = a.number("--seed", "seed")?.unwrap_or(0x57AE);
+    let shards = a.number("--shards", "shards")?.unwrap_or(4) as usize;
+    let round_count = a
+        .number("--rounds", "rounds")?
+        .unwrap_or(if quick { 6 } else { 24 }) as usize;
+    let sample = a.number("--sample", "sample")?.unwrap_or(64);
+    let out = a.option("--out").unwrap_or("target/TRACE.json");
+    let perfetto_path = a.option("--perfetto");
+    let events_path = a.option("--events");
+    let metrics_path = a.option("--metrics");
     if shards == 0 || round_count == 0 {
         return Err(usage("shards and rounds must be nonzero"));
     }
     if !(1..=1000).contains(&sample) {
         return Err(usage("--sample is per-mille, 1..=1000"));
     }
-    const CORES: usize = 8;
     if shards > CORES {
         return Err(usage(format!(
             "at most {CORES} shards on an {CORES}-core NP"
@@ -1337,40 +1278,17 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     const CAPACITY: usize = 512;
 
     let tc = TraceContext::new(seed, sample as u16);
-    let program = programs::vulnerable_forward().map_err(processing)?;
-    let image = program.to_bytes();
+    // The same hijack scenario as `sdmmon stream`, so the trace artifact
+    // describes the traffic the streaming gate already pins.
+    let scenario = HijackScenario::new(seed, round_count);
     let bus = Arc::new(EventBus::new());
-    let mut np = NetworkProcessor::with_policy(CORES, SupervisorPolicy::ladder(2, 2));
-    np.install_all(&image, program.base, |i| {
-        let hash = MerkleTreeHash::new(0x57AE_0000 ^ i as u32);
-        let graph = MonitoringGraph::extract(&program, &hash).expect("embedded workload extracts");
-        Box::new(HardwareMonitor::new(graph, hash))
-    });
-    np.set_shards(shards);
+    let mut np = scenario.np(shards);
     np.set_event_bus(Some(bus.clone()));
     np.set_trace(Some(tc));
-
-    // Same open-loop + hijack-salt recipe as `sdmmon stream`, so the trace
-    // artifact describes the traffic the streaming gate already pins.
-    let mut source = OpenLoopSource::new(OpenLoopConfig {
-        seed,
-        ..OpenLoopConfig::default()
-    });
-    let mut rounds = source.take_rounds(round_count);
-    let attack =
-        testing::hijack_packet("li $t5, 5\nbreak 1").map_err(|e| processing(format!("{e:?}")))?;
-    let mut salt = StdRng::seed_from_u64(seed ^ 0x5A17);
-    for round in &mut rounds {
-        for packet in round.iter_mut() {
-            if salt.gen_range(0..24u32) == 0 {
-                *packet = attack.clone();
-            }
-        }
-    }
     let cfg = StreamConfig {
         shard_capacity: CAPACITY,
     };
-    let streamed = np.process_stream(&rounds, &cfg);
+    let streamed = np.process_stream(&scenario.rounds, &cfg);
     let report = streamed.report;
     if report.dropped != 0 {
         return Err(processing(format!(
@@ -1388,8 +1306,8 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         trace: Some(tc),
         ..FleetDeployConfig::default()
     };
-    let fleet =
-        deploy_fleet(&fleet_cfg, &program, seed ^ 0xF1EE7, Some(&bus)).map_err(processing)?;
+    let fleet = deploy_fleet(&fleet_cfg, &scenario.program, seed ^ 0xF1EE7, Some(&bus))
+        .map_err(processing)?;
 
     if let Some(path) = events_path {
         write_output(path, &bus.render_jsonl())?;
@@ -1522,6 +1440,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
             "--events",
             "--metrics",
         ],
+        &[],
     )?;
     if !a.positional.is_empty() {
         return Err(usage("stats takes no positional arguments"));

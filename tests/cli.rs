@@ -332,6 +332,64 @@ fn bad_inputs_yield_clean_errors() {
             );
         }
     }
+    // The commands that take `--quick`: unknown options, missing values
+    // and out-of-range shard counts.
+    for (args, message) in [
+        (&["bench", "--bogus"][..], "unknown option `--bogus`"),
+        (&["bench", "--metrics"], "option `--metrics` needs a value"),
+        (&["bench", "--shards", "0"], "--shards must be nonzero"),
+        (&["frontier", "--bogus"], "unknown option `--bogus`"),
+        (
+            &["frontier", "--quick", "--seed"],
+            "option `--seed` needs a value",
+        ),
+        (&["frontier", "--shards", "0"], "unknown option `--shards`"),
+        (&["stream", "--bogus"], "unknown option `--bogus`"),
+        (&["stream", "--rounds"], "option `--rounds` needs a value"),
+        (
+            &["stream", "--shards", "0"],
+            "shards, capacity and rounds must be nonzero",
+        ),
+        (
+            &["stream", "--shards", "9"],
+            "at most 8 shards on an 8-core NP",
+        ),
+        (&["trace", "--bogus"], "unknown option `--bogus`"),
+        (
+            &["trace", "--perfetto"],
+            "option `--perfetto` needs a value",
+        ),
+        (
+            &["trace", "--shards", "0"],
+            "shards and rounds must be nonzero",
+        ),
+    ] {
+        let out = sdmmon().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            text.starts_with(&format!("error: {message}\n")),
+            "{args:?}: {text}"
+        );
+    }
+}
+
+#[test]
+fn deploy_with_one_core_per_router_exits_cleanly() {
+    // The shakedown quarantines each router's only core; with nothing
+    // left in dispatch the parole batches are skipped, not panicked on.
+    let out = sdmmon()
+        .args(["deploy", "--routers", "2", "--cores", "1"])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("(out of dispatch)"), "{text}");
 }
 
 #[test]

@@ -1,0 +1,104 @@
+//! The transport books balance. Every attempt a download logs is a probe
+//! or chunk fetch the server saw, except integrity rejects, which discard
+//! an assembly without a round trip. So on both deploy paths
+//! `net_download_attempts - net_integrity_restarts` equals the servers'
+//! own attempt count. This file holds a single test, which runs in its own
+//! process, so the global metrics registry's counts are exact.
+
+use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
+use sdmmon::core::entities::{Manufacturer, NetworkOperator};
+use sdmmon::core::system::{Fleet, ResilientConfig};
+use sdmmon::net::channel::{Channel, FileServer};
+use sdmmon::net::download::RetryPolicy;
+use sdmmon::net::resilience::{FlakyServer, LossyChannel, OutageWindow};
+use sdmmon::npu::programs;
+use sdmmon::npu::supervisor::SupervisorPolicy;
+use sdmmon::obs::{metrics, Counter};
+use sdmmon_rng::{RngCore, SeedableRng, StdRng};
+
+/// Loss, corruption and stall on one link.
+fn faulty_link(loss: f64, corrupt: f64) -> LossyChannel {
+    LossyChannel::clean(Channel::ideal_gigabit())
+        .with_loss(loss)
+        .with_corrupt(corrupt)
+        .with_stall(0.05)
+}
+
+/// `(net_download_attempts, net_integrity_restarts)` since the last reset.
+fn client_books() -> (u64, u64) {
+    (
+        metrics().counter(Counter::NetDownloadAttempts),
+        metrics().counter(Counter::NetIntegrityRestarts),
+    )
+}
+
+#[test]
+fn client_attempts_match_server_attempts_on_both_deploy_paths() {
+    let program = programs::ipv4_forward().expect("embedded workload assembles");
+    let retry = RetryPolicy::default()
+        .with_chunk_bytes(16 * 1024)
+        .with_max_attempts(60);
+
+    // Per-router path: whole-file downloads from one flaky server.
+    for seed in [3u64, 4, 5] {
+        metrics().reset();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let manufacturer = Manufacturer::new("acme", 512, &mut rng).expect("keygen");
+        let mut operator = NetworkOperator::new("op", 512, &mut rng).expect("keygen");
+        operator.accept_certificate(manufacturer.certify_operator(operator.public_key(), "op"));
+        let mut server = FlakyServer::new(FileServer::new(), rng.next_u64());
+        server.schedule_outage(OutageWindow { from: 2, len: 5 });
+        server.blackhole("pkg/router-2.sdmmon");
+        let config = ResilientConfig {
+            link: faulty_link(0.3, 0.3),
+            retry,
+            max_deploy_attempts: 3,
+            supervisor: SupervisorPolicy::default(),
+        };
+        let fleet = Fleet::deploy_resilient(
+            &manufacturer,
+            &operator,
+            &program,
+            6,
+            1,
+            256,
+            &mut server,
+            &config,
+            &mut rng,
+            None,
+        )
+        .expect("deploy");
+        let (attempts, restarts) = client_books();
+        assert!(restarts > 0, "seed {seed}: no integrity restart exercised");
+        assert_eq!(attempts - restarts, server.attempts(), "seed {seed}");
+        let logged: u64 = fleet
+            .deployments
+            .iter()
+            .map(|d| u64::from(d.transport_attempts))
+            .sum();
+        assert_eq!(attempts, logged, "seed {seed}");
+    }
+
+    // Relay tree: ranged section fetches from the origin and the relays.
+    for seed in [7u64, 8, 9] {
+        metrics().reset();
+        let config = FleetDeployConfig {
+            routers: 24,
+            relays: 3,
+            key_pool: 4,
+            link: faulty_link(0.2, 0.05),
+            retry,
+            outage: Some(OutageWindow { from: 3, len: 6 }),
+            blackhole_router: Some(5),
+            ..FleetDeployConfig::default()
+        };
+        let report = deploy_fleet(&config, &program, seed, None).expect("deploy");
+        let (attempts, restarts) = client_books();
+        assert!(restarts > 0, "seed {seed}: no integrity restart exercised");
+        assert_eq!(
+            attempts - restarts,
+            report.transport_attempts,
+            "seed {seed}"
+        );
+    }
+}
