@@ -13,7 +13,8 @@
 # sdmmon-events-v1 replay), the v1-vs-v2 install differential, the
 # availability-vs-security frontier gate (byte-identical
 # sdmmon-frontier-v1 replay + monotone trade), a resilient-deploy smoke
-# (byte-identical events + metrics replay, one terminal state per router), a
+# (byte-identical events + metrics replay, one terminal state per router,
+# terminal events agreeing with the metrics' download books), a
 # seeded 1k-router fleet deploy smoke (byte-identical replay), and a
 # short traced perfbench run per data-plane workload and of fleet-10k
 # (every pass checked against the serial oracles or a phase-by-phase
@@ -213,6 +214,33 @@ quarantined = [r for r, kind in terminal.items() if kind == "deploy.quarantined"
 assert quarantined == ["router-2"], terminal
 print(f"resilient ok: {len(terminal) - 1}/4 installed, router-2 quarantined")
 PYEOF
+
+# Events and metrics agree: summed over the terminal deploy events, the
+# routers' transport attempts and integrity restarts equal the metrics
+# registry's download books — on the smoke above and on a link where
+# downloads give up after integrity restarts.
+cargo run --release --bin sdmmon -- deploy --routers 5 --cores 2 --seed 4 \
+    --loss 0.2 --corrupt 0.5 --stall 0.1 --max-retries 6 --deploy-attempts 2 \
+    --events target/ci-resilient-gaveup.jsonl \
+    --metrics target/ci-resilient-gaveup.metrics.json
+for run in a gaveup; do
+    python3 - "target/ci-resilient-$run.jsonl" \
+        "target/ci-resilient-$run.metrics.json" <<'PYEOF'
+import json, sys
+books = {"transport_attempts": 0, "integrity_restarts": 0}
+for line in open(sys.argv[1]).read().splitlines():
+    event = json.loads(line)
+    if event["kind"] in ("deploy.installed", "deploy.quarantined"):
+        for field in books:
+            books[field] += event[field]
+counters = json.load(open(sys.argv[2]))["counters"]
+metrics = {"transport_attempts": counters["net_download_attempts"],
+           "integrity_restarts": counters["net_integrity_restarts"]}
+assert books == metrics, (sys.argv[1], "events", books, "metrics", metrics)
+print(f"deploy books ok: {books['transport_attempts']} attempts, "
+      f"{books['integrity_restarts']} integrity restarts in events and metrics")
+PYEOF
+done
 
 # Fleet-scale deploy smoke: a seeded 1k-router hierarchical campaign
 # (operator -> 8 relays -> routers, shared-package key-wrap, wire-v2

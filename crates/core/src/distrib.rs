@@ -198,8 +198,9 @@ fn fetch_round<R: RngCore>(
     let mut range = |stats: &mut FetchStats, offset, len, expected| {
         let fetched = client.download_range(server, path, offset, len, expected, link, rng);
         stats.attempts += match &fetched {
-            Ok(r) => r.attempts.len() as u64,
-            Err(DownloadError::AttemptsExhausted { attempts, .. }) => u64::from(*attempts),
+            Ok(spent) | Err(DownloadError::AttemptsExhausted { spent, .. }) => {
+                spent.attempts.len() as u64
+            }
             Err(DownloadError::NotFound { .. }) => 0,
         };
         fetched.map_err(|e| match e {
@@ -460,8 +461,10 @@ impl FleetScaleReport {
 ///
 /// Systemic failures only: [`SdmmonError::NoSuchCore`] for
 /// `cores_each == 0` (checked before any key generation), key generation,
-/// packaging. Transport and verification failures end in quarantine rows,
-/// never an error.
+/// packaging, and [`SdmmonError::MalformedPackage`] when the report fails
+/// [`FleetScaleReport::verify_accounting`] — a campaign whose books do not
+/// balance fails loudly instead of returning a report. Transport and
+/// verification failures end in quarantine rows, never an error.
 pub fn deploy_fleet(
     config: &FleetDeployConfig,
     program: &Program,
@@ -777,6 +780,9 @@ pub fn deploy_fleet(
         rows,
         kept,
     };
+    report
+        .verify_accounting()
+        .map_err(SdmmonError::MalformedPackage)?;
     if let Some(bus) = bus {
         bus.record(
             Event::new("fleet.deploy_done", transport_attempts)

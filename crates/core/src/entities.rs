@@ -12,7 +12,7 @@ use sdmmon_crypto::rsa::{wrap_key_batch, RsaKeyPair, RsaPublicKey};
 use sdmmon_isa::asm::Program;
 use sdmmon_monitor::hash::Compression;
 use sdmmon_monitor::{HardwareMonitor, MerkleTreeHash, MonitoringGraph};
-use sdmmon_npu::np::{NetworkProcessor, NpStats};
+use sdmmon_npu::np::NetworkProcessor;
 use sdmmon_npu::runtime::PacketOutcome;
 use sdmmon_rng::RngCore;
 use std::time::Duration;
@@ -591,9 +591,14 @@ impl RouterDevice {
         &self.keys.public
     }
 
-    /// Number of NP cores.
-    pub fn num_cores(&self) -> usize {
-        self.np.num_cores()
+    /// The router's network processor, read-only: core health, flow
+    /// dispatch ([`NetworkProcessor::core_for`]), lockdown and statistics.
+    /// Packets enter through [`RouterDevice::process`],
+    /// [`RouterDevice::process_on`] and [`RouterDevice::process_batch`],
+    /// which execute the supervisor's zeroize orders; no mutable accessor
+    /// exists that could dispatch around them.
+    pub fn np(&self) -> &NetworkProcessor {
+        &self.np
     }
 
     /// Installation record for a core, if programmed.
@@ -749,17 +754,32 @@ impl RouterDevice {
     ///
     /// Panics if the selected core has no installed program.
     pub fn process(&mut self, packet: &[u8]) -> (usize, PacketOutcome) {
-        self.np.process(packet)
+        self.dispatch(|np| np.process(packet))
     }
 
     /// Processes a packet on a specific core.
     pub fn process_on(&mut self, core: usize, packet: &[u8]) -> PacketOutcome {
-        self.np.process_on(core, packet)
+        self.dispatch(|np| np.process_on(core, packet))
     }
 
-    /// Immutable access to one NP core (inspection in tests/benches).
-    pub fn core(&self, core: usize) -> &sdmmon_npu::core::Core {
-        self.np.core(core)
+    /// Processes a batch on the NP's sharded engine.
+    pub fn process_batch(&mut self, packets: &[Vec<u8>]) -> Vec<(usize, PacketOutcome)> {
+        self.dispatch(|np| np.process_batch(packets))
+    }
+
+    /// The one post-dispatch step of every packet path: `run` dispatches
+    /// on the NP, then any zeroize orders the graded supervisor issued
+    /// meanwhile are executed. A zeroized core's installation record —
+    /// including its wrapped secret hash parameter — is destroyed and the
+    /// core decommissioned (fresh blank core, quarantined out of dispatch)
+    /// until an operator installs a new bundle on it.
+    fn dispatch<T>(&mut self, run: impl FnOnce(&mut NetworkProcessor) -> T) -> T {
+        let outcome = run(&mut self.np);
+        for core in self.np.take_zeroize_orders() {
+            self.installed[core] = None;
+            self.np.decommission(core);
+        }
+        outcome
     }
 
     /// Mutable access to one NP core — the hook the fault-injection
@@ -782,68 +802,16 @@ impl RouterDevice {
         self.np.set_policy(policy);
     }
 
-    /// Whether the NP has quarantined a core out of dispatch.
-    pub fn is_quarantined(&self, core: usize) -> bool {
-        self.np.is_quarantined(core)
-    }
-
     /// Quarantines a core by operator decree (reversed by installing a
     /// bundle on it).
     pub fn quarantine_core(&mut self, core: usize) {
         self.np.quarantine_core(core);
     }
 
-    /// The supervisor ledger of one NP core.
-    pub fn core_health(&self, core: usize) -> sdmmon_npu::supervisor::CoreHealth {
-        self.np.core_health(core)
-    }
-
-    /// Indices of the cores still in dispatch.
-    pub fn active_cores(&self) -> Vec<usize> {
-        self.np.active_cores()
-    }
-
-    /// NP-wide statistics (violations, recoveries, forwarding counts).
-    pub fn stats(&self) -> NpStats {
-        self.np.stats()
-    }
-
     /// Attaches (or detaches) a deterministic event bus to the NP — the
     /// `supervisor.*` / `np.batch` stream the frontier harness consumes.
     pub fn set_event_bus(&mut self, bus: Option<std::sync::Arc<sdmmon_obs::EventBus>>) {
         self.np.set_event_bus(bus);
-    }
-
-    /// Processes a batch on the NP's sharded engine, then executes any
-    /// zeroize orders the graded supervisor issued during the batch: a
-    /// zeroized core's installation record — including its wrapped secret
-    /// hash parameter — is destroyed and the core decommissioned (fresh
-    /// blank core, quarantined out of dispatch) until an operator installs
-    /// a new bundle on it.
-    pub fn process_batch(&mut self, packets: &[Vec<u8>]) -> Vec<(usize, PacketOutcome)> {
-        let outcomes = self.np.process_batch(packets);
-        for core in self.np.take_zeroize_orders() {
-            self.installed[core] = None;
-            self.np.decommission(core);
-        }
-        outcomes
-    }
-
-    /// The core a flow-dispatched packet would land on right now (the
-    /// weighted table the graded supervisor maintains).
-    pub fn dispatch_core(&self, packet: &[u8]) -> usize {
-        self.np.core_for(packet)
-    }
-
-    /// Whether the graded supervisor has halved this core's dispatch share.
-    pub fn is_throttled(&self, core: usize) -> bool {
-        self.np.is_throttled(core)
-    }
-
-    /// Whether a zeroize escalation latched the device into lockdown
-    /// (cleared when every zeroized core has been reinstalled).
-    pub fn is_locked_down(&self) -> bool {
-        self.np.is_locked_down()
     }
 }
 
@@ -852,6 +820,7 @@ mod tests {
     use super::*;
     use sdmmon_npu::programs::{self, testing};
     use sdmmon_npu::runtime::{HaltReason, Verdict};
+    use sdmmon_npu::supervisor::{AdaptiveConfig, SupervisorPolicy};
     use sdmmon_rng::SeedableRng;
 
     const KEY_BITS: usize = 512; // small keys for fast tests; protocol is size-agnostic
@@ -1078,11 +1047,65 @@ mod tests {
         let out = w.router.process_on(0, &attack);
         assert_eq!(out.verdict, Verdict::Drop);
         assert_eq!(out.halt, HaltReason::MonitorViolation);
-        assert_eq!(w.router.stats().violations, 1);
-        assert_eq!(w.router.stats().recoveries, 1);
+        assert_eq!(w.router.np().stats().violations, 1);
+        assert_eq!(w.router.np().stats().recoveries, 1);
         // Service continues.
         let good = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, 2], 64, b"");
         assert_eq!(w.router.process_on(0, &good).verdict, Verdict::Forward(2));
+    }
+
+    #[test]
+    fn every_packet_path_executes_zeroize_orders() {
+        // Hijacks drive a graded router's threat to Critical, which orders
+        // the core's key zeroized. Whichever entry point carried them, the
+        // router must destroy that core's installation record (its secret
+        // hash parameter) and decommission the core. Zeroizing at the
+        // quarantine score keeps round-robin `process` on the core long
+        // enough to get there.
+        type Entry = fn(&mut RouterDevice, &[u8]);
+        let entries: [(&str, Entry); 3] = [
+            ("process", |r, p| {
+                r.process(p);
+            }),
+            ("process_on", |r, p| {
+                r.process_on(0, p);
+            }),
+            ("process_batch", |r, p| {
+                r.process_batch(&[p.to_vec()]);
+            }),
+        ];
+        let adaptive = AdaptiveConfig::default();
+        let policy = SupervisorPolicy::graded(AdaptiveConfig {
+            critical: adaptive.high,
+            ..adaptive
+        });
+        let attack = testing::hijack_packet("break 1").unwrap();
+        for (name, entry) in entries {
+            let mut w = world(5);
+            let program = programs::vulnerable_forward().unwrap();
+            let bundle = w
+                .operator
+                .prepare_package(&program, w.router.public_key(), &mut w.rng)
+                .unwrap();
+            w.router.install_bundle(&bundle, &[0, 1]).unwrap();
+            w.router.set_supervisor_policy(policy);
+            for _ in 0..32 {
+                if w.router.np().is_locked_down() {
+                    break;
+                }
+                entry(&mut w.router, &attack);
+            }
+            assert!(w.router.np().is_locked_down(), "{name}: no lockdown");
+            let zeroized: Vec<usize> = (0..2)
+                .filter(|&c| w.router.np().core_health(c).zeroize_ordered)
+                .collect();
+            assert!(!zeroized.is_empty(), "{name}: no zeroize order");
+            for core in zeroized {
+                assert_eq!(w.router.installed(core), None, "{name}: core {core}");
+                assert!(!w.router.np().core(core).is_programmed(), "{name}");
+                assert!(w.router.np().is_quarantined(core), "{name}");
+            }
+        }
     }
 
     #[test]
@@ -1193,7 +1216,7 @@ mod tests {
         }
         let packet = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, 4], 64, b"d");
         assert_eq!(r1.process_on(0, &packet), r2.process_on(0, &packet));
-        assert_eq!(r1.stats(), r2.stats());
+        assert_eq!(r1.np().stats(), r2.np().stats());
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl Fleet {
                 sequence,
                 &mut rng,
             )?;
-            let cores: Vec<usize> = (0..router.num_cores()).collect();
+            let cores: Vec<usize> = (0..router.np().num_cores()).collect();
             fleet.reports.push(router.install_bundle(&bundle, &cores)?);
             fleet.routers.push(router);
         }
@@ -447,13 +447,19 @@ impl Fleet {
                 let bundle =
                     operator.prepare_package(program, router.public_key(), &mut router_rng)?;
                 server.server_mut().publish(path.clone(), bundle.to_bytes());
-                let download = match client.download(server, &path, &config.link, &mut router_rng) {
+                let fetched = client.download(server, &path, &config.link, &mut router_rng);
+                // A download that gives up spent attempts, restarts and
+                // wire time too: book them whatever the outcome.
+                if let Ok(spent) | Err(DownloadError::AttemptsExhausted { spent, .. }) = &fetched {
+                    record.transport_attempts += spent.attempts.len() as u32;
+                    record.transfer_time += spent.transfer_time();
+                    record.backoff_time += spent.backoff_time();
+                    record.integrity_restarts += spent.integrity_restarts;
+                }
+                let download = match fetched {
                     Ok(d) => d,
                     Err(e) => {
                         record.error = Some(e.to_string());
-                        if let DownloadError::AttemptsExhausted { attempts, .. } = &e {
-                            record.transport_attempts += attempts;
-                        }
                         if let Some(bus) = bus {
                             bus.record(
                                 Event::new("deploy.download_failed", server.attempts())
@@ -465,10 +471,6 @@ impl Fleet {
                         continue;
                     }
                 };
-                record.transport_attempts += download.attempts.len() as u32;
-                record.transfer_time += download.transfer_time();
-                record.backoff_time += download.backoff_time();
-                record.integrity_restarts += download.integrity_restarts;
                 if let Some(bus) = bus {
                     bus.extend(download.to_events(&record.router, clock0));
                 }
@@ -1134,13 +1136,13 @@ mod tests {
         // quarantined core never receives a packet again.
         let router = &mut fleet.routers_mut()[0];
         router.quarantine_core(0);
-        assert_eq!(router.active_cores(), vec![1]);
+        assert_eq!(router.np().active_cores(), vec![1]);
         for _ in 0..8 {
             let (core, out) = router.process(&packet);
             assert_eq!(core, 1, "quarantined core 0 got a packet");
             assert_eq!(out.verdict, Verdict::Forward(6));
         }
-        assert_eq!(router.stats().quarantined_cores, 1);
+        assert_eq!(router.np().stats().quarantined_cores, 1);
     }
 
     #[test]

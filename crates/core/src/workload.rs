@@ -232,7 +232,7 @@ impl WorkloadManager {
         router: &mut RouterDevice,
         rng: &mut R,
     ) -> Result<Vec<(usize, String)>, SdmmonError> {
-        let cores = router.num_cores();
+        let cores = router.np().num_cores();
         let changes = self.plan(cores);
         self.assigned.resize(cores, None);
         // Group changed cores per app so one package programs all of them.
@@ -390,7 +390,7 @@ mod tests {
                 Verdict::Forward(2)
             );
         }
-        assert_eq!(router.stats().violations, 0);
+        assert_eq!(router.np().stats().violations, 0);
 
         // Re-reconciling without demand change is a no-op.
         let changes = m.reconcile(&operator, &mut router, &mut rng).unwrap();

@@ -106,10 +106,13 @@ pub struct Attempt {
     pub backoff: Duration,
 }
 
-/// A completed download: the bytes plus the full attempt timeline.
+/// A download's full attempt timeline, plus the bytes when it completed.
+/// A download that gives up carries its timeline too
+/// ([`DownloadError::AttemptsExhausted`]), so callers book the effort
+/// whatever the outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DownloadReport {
-    /// The verified file contents.
+    /// The verified file contents (empty in a given-up download's log).
     pub bytes: Vec<u8>,
     /// Every transport attempt, in order, with per-attempt timing.
     pub attempts: Vec<Attempt>,
@@ -239,10 +242,11 @@ pub enum DownloadError {
     AttemptsExhausted {
         /// The requested path.
         path: String,
-        /// Attempts spent.
-        attempts: u32,
         /// Human-readable description of the last failure.
         last: String,
+        /// What the download spent before giving up: every attempt,
+        /// integrity restart and salvaged byte (`bytes` stays empty).
+        spent: DownloadReport,
     },
 }
 
@@ -250,13 +254,10 @@ impl fmt::Display for DownloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DownloadError::NotFound { path } => write!(f, "download {path}: not published"),
-            DownloadError::AttemptsExhausted {
-                path,
-                attempts,
-                last,
-            } => write!(
+            DownloadError::AttemptsExhausted { path, last, spent } => write!(
                 f,
-                "download {path}: gave up after {attempts} attempts ({last})"
+                "download {path}: gave up after {} attempts ({last})",
+                spent.attempts.len()
             ),
         }
     }
@@ -359,14 +360,14 @@ impl DownloadClient {
     }
 
     /// Runs `body` as one transfer, then folds its attempt log into the
-    /// metrics registry, whatever the outcome.
+    /// metrics registry and into the result, whatever the outcome.
     fn transfer<R: RngCore>(
         &self,
         server: &mut FlakyServer,
         path: &str,
         link: &LossyChannel,
         rng: &mut R,
-        body: impl FnOnce(&mut Transfer<'_, R>) -> Result<Vec<u8>, DownloadError>,
+        body: impl FnOnce(&mut Transfer<'_, R>) -> Result<Vec<u8>, Stop>,
     ) -> Result<DownloadReport, DownloadError> {
         let mut t = Transfer {
             policy: &self.policy,
@@ -381,14 +382,33 @@ impl DownloadClient {
             resumed_bytes: 0,
         };
         let bytes = body(&mut t);
-        record_download_metrics(&t.attempts, t.integrity_restarts, t.resumed_bytes);
-        Ok(DownloadReport {
-            bytes: bytes?,
+        let log = DownloadReport {
+            bytes: Vec::new(),
             attempts: t.attempts,
             integrity_restarts: t.integrity_restarts,
             resumed_bytes: t.resumed_bytes,
-        })
+        };
+        record_download_metrics(&log.attempts, log.integrity_restarts, log.resumed_bytes);
+        let path = path.to_owned();
+        match bytes {
+            Ok(bytes) => Ok(DownloadReport { bytes, ..log }),
+            Err(Stop::NotFound) => Err(DownloadError::NotFound { path }),
+            Err(Stop::Exhausted) => Err(DownloadError::AttemptsExhausted {
+                path,
+                last: t.last_failure,
+                spent: log,
+            }),
+        }
     }
+}
+
+/// Why a transfer stopped short; [`DownloadClient::transfer`] turns it into
+/// a [`DownloadError`] carrying the attempt log.
+enum Stop {
+    /// The server does not publish the path.
+    NotFound,
+    /// The attempt budget is spent.
+    Exhausted,
 }
 
 /// One download in flight: the attempt log and retry state both entry
@@ -410,7 +430,7 @@ struct Transfer<'a, R> {
 
 impl<R: RngCore> Transfer<'_, R> {
     /// Probes for the file's size and transport checksum.
-    fn probe(&mut self) -> Result<FileMeta, DownloadError> {
+    fn probe(&mut self) -> Result<FileMeta, Stop> {
         loop {
             let backoff = self.next_backoff()?;
             match self.server.probe(self.path, self.link) {
@@ -434,13 +454,15 @@ impl<R: RngCore> Transfer<'_, R> {
         len: usize,
         expected: Option<u64>,
         give_up: &str,
-    ) -> Result<Vec<u8>, DownloadError> {
+    ) -> Result<Vec<u8>, Stop> {
         let mut data: Vec<u8> = Vec::new();
         while data.len() < len || expected.is_some_and(|want| transport_checksum(&data) != want) {
-            let backoff = self.next_backoff()?;
             let at = offset + data.len();
             if data.len() >= len {
-                // Assembled but failed the checksum: discard and refetch.
+                // Assembled but failed the checksum: discard and refetch. A
+                // budget that runs out here gives up on this failure.
+                self.last_failure = give_up.to_owned();
+                let backoff = self.next_backoff()?;
                 self.log(
                     at,
                     AttemptOutcome::IntegrityReject,
@@ -452,6 +474,7 @@ impl<R: RngCore> Transfer<'_, R> {
                 self.integrity_restarts += 1;
                 continue;
             }
+            let backoff = self.next_backoff()?;
             let want = self.policy.chunk_bytes.min(len - data.len());
             match self.server.fetch_chunk(self.path, at, want, self.link) {
                 Ok(chunk) => {
@@ -472,15 +495,11 @@ impl<R: RngCore> Transfer<'_, R> {
         Ok(data)
     }
 
-    /// The backoff before the next attempt, or the give-up error once the
+    /// The backoff before the next attempt, or the give-up once the
     /// attempt budget is spent.
-    fn next_backoff(&mut self) -> Result<Duration, DownloadError> {
+    fn next_backoff(&mut self) -> Result<Duration, Stop> {
         if self.attempts.len() as u32 >= self.policy.max_attempts {
-            return Err(DownloadError::AttemptsExhausted {
-                path: self.path.to_owned(),
-                attempts: self.attempts.len() as u32,
-                last: self.last_failure.clone(),
-            });
+            return Err(Stop::Exhausted);
         }
         Ok(self.policy.backoff(self.consecutive, self.rng))
     }
@@ -518,12 +537,9 @@ impl<R: RngCore> Transfer<'_, R> {
         offset: usize,
         e: TransportError,
         backoff: Duration,
-    ) -> Result<(), DownloadError> {
+    ) -> Result<(), Stop> {
         let outcome = match e {
-            TransportError::NotFound { .. } => {
-                let path = self.path.to_owned();
-                return Err(DownloadError::NotFound { path });
-            }
+            TransportError::NotFound { .. } => return Err(Stop::NotFound),
             TransportError::Unavailable { .. } => AttemptOutcome::Refused,
             TransportError::Timeout { .. } => AttemptOutcome::Stalled,
         };
@@ -701,8 +717,35 @@ mod tests {
             .download(&mut flaky, "pkg", &link, &mut rng)
             .unwrap_err();
         match err {
-            DownloadError::AttemptsExhausted { attempts, .. } => assert_eq!(attempts, 6),
+            DownloadError::AttemptsExhausted { spent, .. } => assert_eq!(spent.attempts.len(), 6),
             other => panic!("expected exhaustion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_spent_on_a_corrupt_assembly_gives_up_on_the_integrity_failure() {
+        // Every chunk arrives complete but corrupted, so the budget runs
+        // out on a full assembly that fails its checksum — the failure a
+        // give-up must report, not "no attempts made".
+        let link = LossyChannel::clean(Channel::ideal_gigabit()).with_corrupt(1.0);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut flaky = FlakyServer::new(published(1000), 3);
+        let client = DownloadClient::new(policy().with_max_attempts(2));
+        let whole = client.download(&mut flaky, "pkg", &link, &mut rng);
+        let sum = transport_checksum(&flaky.server().stat("pkg").unwrap()[..1000]);
+        let client = DownloadClient::new(policy().with_max_attempts(1));
+        let range = client.download_range(&mut flaky, "pkg", 0, 1000, Some(sum), &link, &mut rng);
+        for (result, probe_and_chunks, why) in [
+            (whole, 2, "integrity re-check failed"),
+            (range, 1, "range checksum mismatch"),
+        ] {
+            match result.unwrap_err() {
+                DownloadError::AttemptsExhausted { last, spent, .. } => {
+                    assert_eq!(spent.attempts.len(), probe_and_chunks);
+                    assert!(last.starts_with(why), "{last}");
+                }
+                other => panic!("expected exhaustion, got {other:?}"),
+            }
         }
     }
 

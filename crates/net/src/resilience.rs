@@ -255,11 +255,6 @@ impl TransportError {
             | TransportError::Timeout { wasted } => *wasted,
         }
     }
-
-    /// True for failures no amount of retrying can fix.
-    pub fn is_permanent(&self) -> bool {
-        matches!(self, TransportError::NotFound { .. })
-    }
 }
 
 impl fmt::Display for TransportError {

@@ -607,9 +607,9 @@ impl NetworkProcessor {
     }
 
     /// Drains outstanding zeroize orders: core indices whose threat
-    /// reached Critical since the last call. The control plane (e.g.
-    /// `RouterDevice::process_batch` in `sdmmon-core`) destroys each
-    /// core's wrapped key material and calls
+    /// reached Critical since the last call. The control plane
+    /// (`RouterDevice` in `sdmmon-core`, after every packet it dispatches)
+    /// destroys each core's wrapped key material and calls
     /// [`NetworkProcessor::decommission`]; each order is returned once.
     pub fn take_zeroize_orders(&mut self) -> Vec<usize> {
         let mut orders = Vec::new();

@@ -4,10 +4,10 @@
 //! Determinism contract: an event's `clock` is always a *logical* quantity
 //! the producer derives from its own deterministic state — a packet
 //! ordinal, a transport-attempt count, a retired-instruction count — never
-//! wall time. Producers running on worker threads push into a thread-local
-//! [`EventBuffer`]; the owner absorbs the buffers in a fixed order (shard
-//! index, router index) after the barrier, exactly like the sharded
-//! engine's stats rollup, so the rendered stream is byte-identical per
+//! wall time. Producers running on worker threads collect into their own
+//! `Vec<Event>`; the owner merges those buffers deterministically after the
+//! barrier (the sharded engine sorts them by clock and hands the result to
+//! [`EventBus::extend`]), so the rendered stream is byte-identical per
 //! seed regardless of scheduling.
 
 use crate::json::write_json_string;
@@ -129,46 +129,11 @@ impl Event {
     }
 }
 
-/// A plain, single-threaded event accumulator for producers that run off
-/// the owning thread (shard workers). The owner absorbs buffers into the
-/// [`EventBus`] in a deterministic order after the parallel section.
-#[derive(Debug, Default)]
-pub struct EventBuffer {
-    events: Vec<Event>,
-}
-
-impl EventBuffer {
-    /// An empty buffer.
-    pub fn new() -> EventBuffer {
-        EventBuffer::default()
-    }
-
-    /// Appends one event.
-    pub fn push(&mut self, event: Event) {
-        self.events.push(event);
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Consumes the buffer, yielding the events in push order.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-}
-
 /// The shared event sink: an append-only, mutex-guarded event list.
 ///
 /// The bus itself does no ordering magic — determinism is the *producers'*
 /// contract (record on deterministic paths, or buffer per worker and
-/// absorb in a fixed order). Sequence numbers are assigned at render time
+/// merge in a fixed order). Sequence numbers are assigned at render time
 /// from the stored order, so a bus filled deterministically renders
 /// byte-identically.
 #[derive(Debug, Default)]
@@ -196,13 +161,6 @@ impl EventBus {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .extend(events);
-    }
-
-    /// Absorbs a worker-side buffer (push order preserved). Call in a
-    /// fixed order across buffers — shard index, router index — to keep
-    /// the stream deterministic.
-    pub fn absorb(&self, buffer: EventBuffer) {
-        self.extend(buffer.into_events());
     }
 
     /// Number of events recorded so far.
@@ -412,10 +370,7 @@ mod tests {
     fn bus_assigns_sequence_in_recorded_order() {
         let bus = EventBus::new();
         bus.record(Event::new("a", 1));
-        let mut buffer = EventBuffer::new();
-        buffer.push(Event::new("b", 2));
-        buffer.push(Event::new("c", 3));
-        bus.absorb(buffer);
+        bus.extend([Event::new("b", 2), Event::new("c", 3)]);
         let jsonl = bus.render_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -1,6 +1,7 @@
 //! Minimal JSON string rendering. This crate sits below the testkit (which
 //! has the full report builder), so it carries the one primitive it needs:
-//! correct string escaping per RFC 8259.
+//! correct string escaping per RFC 8259. The testkit's builder escapes its
+//! strings through it too.
 
 /// Appends `text` to `out` as a quoted JSON string, escaping quotes,
 /// backslashes, and control characters.

@@ -10,9 +10,10 @@
 //!   a caller-supplied *logical* clock (packet ordinals, transport-attempt
 //!   counts, retired-instruction counts — never wall time) and renders to
 //!   one line of the versioned [`EVENTS_SCHEMA`] JSONL format. Producers
-//!   that run on worker threads collect into a local [`EventBuffer`] and
-//!   the owner absorbs buffers in a fixed order (shard index, router
-//!   index), so the serialized stream is a pure function of the inputs.
+//!   that run on worker threads collect into their own `Vec<Event>` and
+//!   the owner merges those buffers in a deterministic order (the sharded
+//!   engine sorts them by clock) before [`EventBus::extend`], so the
+//!   serialized stream is a pure function of the inputs.
 //! * **[`MetricsRegistry`]** — counters, gauges, and fixed-bucket
 //!   histograms over relaxed atomics. Recording is a handful of
 //!   uncontended-in-practice atomic adds, cheap enough for per-packet hot
@@ -41,9 +42,7 @@ mod json;
 mod metrics;
 pub mod trace;
 
-pub use event::{
-    validate_event_line, Event, EventBuffer, EventBus, StreamValidator, Value, EVENTS_SCHEMA,
-};
+pub use event::{validate_event_line, Event, EventBus, StreamValidator, Value, EVENTS_SCHEMA};
 pub use json::write_json_string;
 pub use metrics::{
     bucket_bounds, bucket_index, metrics, percentile, Counter, Gauge, Hist, MetricsRegistry,

@@ -14,7 +14,7 @@ use sdmmon_core::SdmmonError;
 use sdmmon_monitor::hash::Compression;
 use sdmmon_monitor::{InstructionHash, MerkleTreeHash, MonitoringGraph};
 use sdmmon_net::channel::{Channel, FileServer};
-use sdmmon_net::download::{DownloadClient, RetryPolicy};
+use sdmmon_net::download::{DownloadClient, DownloadError, RetryPolicy};
 use sdmmon_net::resilience::FlakyServer;
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::runtime::{HaltReason, PacketOutcome, Verdict};
@@ -320,7 +320,7 @@ pub fn stack_smash(
     assert_eq!(assembly_failures, 0, "generated payloads must assemble");
     Ok(CampaignOutcome {
         name: "stack_smash",
-        recoveries: w.router.stats().recoveries,
+        recoveries: w.router.np().stats().recoveries,
         details: vec![("payload_variants".into(), tally.attempted)],
         tally,
         latency,
@@ -383,7 +383,7 @@ pub fn packet_fuzz(
     }
     Ok(CampaignOutcome {
         name: "packet_fuzz",
-        recoveries: w.router.stats().recoveries,
+        recoveries: w.router.np().stats().recoveries,
         details: vec![
             ("hardened_unclean_halts".into(), hardened_faults),
             ("vulnerable_unclean_halts".into(), vulnerable_noise),
@@ -499,7 +499,7 @@ pub fn wire_faults(
         name: "wire_faults",
         tally,
         latency: LatencySteps::default(),
-        recoveries: w.router.stats().recoveries,
+        recoveries: w.router.np().stats().recoveries,
         details,
     })
 }
@@ -560,7 +560,7 @@ pub fn fault_recovery(
         name: "fault_recovery",
         tally,
         latency,
-        recoveries: w.router.stats().recoveries,
+        recoveries: w.router.np().stats().recoveries,
         details: vec![("unrecovered_after_reset".into(), unrecovered)],
     })
 }
@@ -621,7 +621,7 @@ pub fn evasive_propagation(
         recoveries += fleet
             .routers()
             .iter()
-            .map(|r| r.stats().recoveries)
+            .map(|r| r.np().stats().recoveries)
             .sum::<u64>();
         details.push((format!("{label}_escapes"), escapes_here));
         details.push((format!("{label}_search_runs"), attack.search_runs));
@@ -685,11 +685,15 @@ pub fn resilient_deploy(
             server.server_mut().publish(path.clone(), published.clone());
             let link = fault.link(base);
             fault.arm(&mut server, &path);
-            match client.download(&mut server, &path, &link, &mut w.rng) {
+            let fetched = client.download(&mut server, &path, &link, &mut w.rng);
+            // A download that gives up spent transport effort too.
+            if let Ok(spent) | Err(DownloadError::AttemptsExhausted { spent, .. }) = &fetched {
+                transport_attempts += spent.attempts.len() as u64;
+                integrity_restarts += u64::from(spent.integrity_restarts);
+                resumed_bytes += spent.resumed_bytes as u64;
+            }
+            match fetched {
                 Ok(report) => {
-                    transport_attempts += report.attempts.len() as u64;
-                    integrity_restarts += u64::from(report.integrity_restarts);
-                    resumed_bytes += report.resumed_bytes as u64;
                     let bit_exact = report.bytes == published;
                     let installed = InstallationBundle::from_bytes(&report.bytes)
                         .map_err(|e| SdmmonError::MalformedPackage(e.to_string()))
@@ -722,7 +726,7 @@ pub fn resilient_deploy(
         name: "resilient_deploy",
         tally,
         latency: LatencySteps::default(),
-        recoveries: w.router.stats().recoveries,
+        recoveries: w.router.np().stats().recoveries,
         details,
     })
 }

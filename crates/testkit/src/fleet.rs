@@ -1,89 +1,19 @@
-//! The fleet-scale deployment scenario: a seeded campaign driving
-//! [`sdmmon_core::distrib::deploy_fleet`] — operator → relays → routers —
-//! and rendering a byte-stable JSON report.
+//! The `sdmmon-fleet-v1` report: a byte-stable JSON rendering of the
+//! [`FleetScaleReport`] that [`sdmmon_core::distrib::deploy_fleet`] —
+//! operator → relays → routers — returns with its books already checked.
 //!
-//! This is the PR 7 campaign surface: `sdmmon deploy --routers N --relays M`
-//! and the CI deploy smoke are thin wrappers around [`run_fleet_scale`] +
+//! `sdmmon deploy --routers N --relays M` and the CI deploy smoke build a
+//! `FleetDeployConfig`, call `deploy_fleet` and render the result with
 //! [`fleet_report_json`]. Everything replays byte-identically from the
 //! seed — the report contains no wall-clock values, and the per-router rows
 //! are summarized (full rows for quarantined routers only) so a 10k-router
 //! report stays small and diffable.
 
 use crate::json::Json;
-use sdmmon_core::distrib::{deploy_fleet, FleetDeployConfig, FleetScaleReport};
-use sdmmon_core::SdmmonError;
-use sdmmon_npu::programs;
-use sdmmon_obs::EventBus;
+use sdmmon_core::distrib::FleetScaleReport;
 
 /// Schema identifier embedded in every fleet report.
 pub const FLEET_SCHEMA: &str = "sdmmon-fleet-v1";
-
-/// One fleet-scale scenario: a master seed plus the deployment knobs.
-#[derive(Debug, Clone)]
-pub struct FleetScaleConfig {
-    /// Master seed; every rng in the run derives from it.
-    pub seed: u64,
-    /// The deployment tree and fault model.
-    pub deploy: FleetDeployConfig,
-}
-
-impl FleetScaleConfig {
-    /// A clean 16-router / 2-relay scenario at `seed`.
-    pub fn new(seed: u64) -> FleetScaleConfig {
-        FleetScaleConfig {
-            seed,
-            deploy: FleetDeployConfig::default(),
-        }
-    }
-
-    /// Sets the fleet size.
-    #[must_use]
-    pub fn with_routers(mut self, routers: usize) -> FleetScaleConfig {
-        self.deploy.routers = routers;
-        self
-    }
-
-    /// Sets the relay count.
-    #[must_use]
-    pub fn with_relays(mut self, relays: usize) -> FleetScaleConfig {
-        self.deploy.relays = relays;
-        self
-    }
-
-    /// Sets loss and corruption probabilities on every link.
-    #[must_use]
-    pub fn with_faults(mut self, loss: f64, corrupt: f64) -> FleetScaleConfig {
-        self.deploy.link = self.deploy.link.with_loss(loss).with_corrupt(corrupt);
-        self
-    }
-
-    /// Blackholes one router's key document (a deterministic quarantine).
-    #[must_use]
-    pub fn with_blackhole(mut self, router: usize) -> FleetScaleConfig {
-        self.deploy.blackhole_router = Some(router);
-        self
-    }
-}
-
-/// Runs the fleet-scale scenario on the baseline IPv4 forwarding workload,
-/// verifying the report's accounting before returning it.
-///
-/// # Errors
-///
-/// Propagates systemic failures from [`deploy_fleet`] and surfaces any
-/// accounting violation as [`SdmmonError::MalformedPackage`] (a campaign
-/// whose books do not balance must fail loudly, not render a report).
-pub fn run_fleet_scale(
-    cfg: &FleetScaleConfig,
-    bus: Option<&EventBus>,
-) -> Result<FleetScaleReport, SdmmonError> {
-    let program = programs::ipv4_forward().map_err(|e| SdmmonError::Graph(e.to_string()))?;
-    let report = deploy_fleet(&cfg.deploy, &program, cfg.seed, bus)?;
-    report
-        .verify_accounting()
-        .map_err(SdmmonError::MalformedPackage)?;
-    Ok(report)
-}
 
 /// Renders the report as a byte-stable JSON document: run parameters,
 /// install/quarantine totals, the egress ledger, and one detail row per
@@ -148,12 +78,30 @@ pub fn fleet_report_json(report: &FleetScaleReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdmmon_core::distrib::{deploy_fleet, FleetDeployConfig};
+    use sdmmon_npu::programs;
+    use sdmmon_obs::EventBus;
+
+    /// A clean `routers` / `relays` tree.
+    fn tree(routers: usize, relays: usize) -> FleetDeployConfig {
+        FleetDeployConfig {
+            routers,
+            relays,
+            ..FleetDeployConfig::default()
+        }
+    }
+
+    /// Deploys the baseline IPv4 forwarding workload at `seed`.
+    fn deploy(cfg: &FleetDeployConfig, seed: u64, bus: Option<&EventBus>) -> FleetScaleReport {
+        let program = programs::ipv4_forward().unwrap();
+        deploy_fleet(cfg, &program, seed, bus).unwrap()
+    }
 
     #[test]
     fn clean_scenario_replays_byte_identically() {
-        let cfg = FleetScaleConfig::new(42).with_routers(12).with_relays(3);
-        let a = fleet_report_json(&run_fleet_scale(&cfg, None).unwrap()).render(0);
-        let b = fleet_report_json(&run_fleet_scale(&cfg, None).unwrap()).render(0);
+        let cfg = tree(12, 3);
+        let a = fleet_report_json(&deploy(&cfg, 42, None)).render(0);
+        let b = fleet_report_json(&deploy(&cfg, 42, None)).render(0);
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"sdmmon-fleet-v1\""));
         assert!(a.contains("\"installed\": 12"));
@@ -162,21 +110,19 @@ mod tests {
 
     #[test]
     fn faulty_scenario_still_balances() {
-        let cfg = FleetScaleConfig::new(9)
-            .with_routers(10)
-            .with_relays(2)
-            .with_faults(0.15, 0.15);
-        let report = run_fleet_scale(&cfg, None).unwrap();
+        let mut cfg = tree(10, 2);
+        cfg.link = cfg.link.with_loss(0.15).with_corrupt(0.15);
+        let report = deploy(&cfg, 9, None);
         assert_eq!(report.installed + report.quarantined, 10);
     }
 
     #[test]
     fn blackholed_router_appears_in_quarantine_rows() {
-        let cfg = FleetScaleConfig::new(5)
-            .with_routers(6)
-            .with_relays(2)
-            .with_blackhole(3);
-        let report = run_fleet_scale(&cfg, None).unwrap();
+        let cfg = FleetDeployConfig {
+            blackhole_router: Some(3),
+            ..tree(6, 2)
+        };
+        let report = deploy(&cfg, 5, None);
         assert_eq!(report.quarantined_routers, vec![3]);
         let doc = fleet_report_json(&report).render(0);
         assert!(doc.contains("\"router\": 3"), "{doc}");
@@ -184,11 +130,11 @@ mod tests {
 
     #[test]
     fn event_stream_replays_per_seed() {
-        let cfg = FleetScaleConfig::new(77).with_routers(8).with_relays(2);
+        let cfg = tree(8, 2);
         let bus_a = EventBus::new();
-        run_fleet_scale(&cfg, Some(&bus_a)).unwrap();
+        deploy(&cfg, 77, Some(&bus_a));
         let bus_b = EventBus::new();
-        run_fleet_scale(&cfg, Some(&bus_b)).unwrap();
+        deploy(&cfg, 77, Some(&bus_b));
         assert_eq!(bus_a.render_jsonl(), bus_b.render_jsonl());
         assert!(bus_a.render_jsonl().contains("fleet.deploy_done"));
     }

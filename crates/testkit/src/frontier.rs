@@ -372,7 +372,7 @@ fn run_cell(
 
     let mut attacks_sent = 0u64;
     'batches: for batch in 1..=cfg.batches as u64 {
-        if router.is_locked_down() || router.active_cores().is_empty() {
+        if router.np().is_locked_down() || router.np().active_cores().is_empty() {
             cell.halted_batch = Some(batch);
             break 'batches;
         }
@@ -394,8 +394,8 @@ fn run_cell(
             } else {
                 (Kind::Benign, benign_packet(&mut rng))
             };
-            let core = router.dispatch_core(&packet);
-            let cap = if router.is_throttled(core) {
+            let core = router.np().core_for(&packet);
+            let cap = if router.np().is_throttled(core) {
                 (cfg.core_capacity / 2).max(1)
             } else {
                 cfg.core_capacity

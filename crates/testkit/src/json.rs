@@ -7,6 +7,7 @@
 //! map type anywhere. It is a writer, not a parser — the reproduction
 //! consumes its own reports only through external tooling.
 
+use sdmmon_obs::write_json_string;
 use std::fmt::Write as _;
 
 /// One JSON value. Build with the `From` impls and [`Json::obj`] /
@@ -90,7 +91,7 @@ impl Json {
                 let _ = write!(out, "{n}");
             }
             Json::Fixed(s) => out.push_str(s),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_json_string(out, s),
             Json::Array(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -121,7 +122,7 @@ impl Json {
                     }
                     out.push('\n');
                     pad(out, indent + 1);
-                    write_escaped(out, key);
+                    write_json_string(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
                 }
@@ -137,24 +138,6 @@ fn pad(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl From<&str> for Json {

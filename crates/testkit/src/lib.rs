@@ -54,7 +54,7 @@ pub mod report;
 pub use campaign::{CampaignConfig, CampaignOutcome, EscapeRow, Tally};
 pub use differential::DifferentialReport;
 pub use fault::{WireFault, WireFaultInjector};
-pub use fleet::{fleet_report_json, run_fleet_scale, FleetScaleConfig, FLEET_SCHEMA};
+pub use fleet::{fleet_report_json, FLEET_SCHEMA};
 pub use frontier::{
     frontier_json, frontier_table, run_frontier, FrontierCell, FrontierConfig, FrontierReport,
     FRONTIER_SCHEMA,

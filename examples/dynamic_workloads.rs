@@ -63,6 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             CORES
         );
     }
-    println!("router stats: {}", router.stats());
+    println!("router stats: {}", router.np().stats());
     Ok(())
 }

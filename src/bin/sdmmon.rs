@@ -108,7 +108,9 @@ fn main() -> ExitCode {
         Some(other) => Err(CliError::Usage(format!("unknown command `{other}`"))),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed stdout early (`sdmmon … | head`) took all
+        // the output it wanted: that is a success, not an error.
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}\n");
             eprint!("{USAGE}");
@@ -157,6 +159,33 @@ sdmmon-metrics-v1 snapshot. Both replay byte-identically per seed.
 enum CliError {
     Usage(String),
     Processing(String),
+    /// Stdout's reader went away; the command stops writing and exits 0.
+    Closed,
+}
+
+/// Writes formatted command output to stdout, like `print!`, as a
+/// `Result<(), CliError>`: every line the CLI prints goes through here, so
+/// a closed pipe ends the command quietly instead of panicking.
+macro_rules! emit {
+    ($($arg:tt)*) => {
+        stdout_written(std::io::Write::write_fmt(&mut std::io::stdout(), format_args!($($arg)*)))
+    };
+}
+
+/// [`emit!`] plus a newline, like `println!`.
+macro_rules! emitln {
+    ($($arg:tt)*) => {
+        emit!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Maps a failed stdout write: a broken pipe to [`CliError::Closed`],
+/// anything else to a processing error.
+fn stdout_written(result: std::io::Result<()>) -> Result<(), CliError> {
+    result.map_err(|e| match e.kind() {
+        std::io::ErrorKind::BrokenPipe => CliError::Closed,
+        _ => processing(format!("cannot write to stdout: {e}")),
+    })
 }
 
 fn usage(msg: impl Into<String>) -> CliError {
@@ -187,11 +216,11 @@ fn write_observability(
 ) -> Result<(), CliError> {
     if let Some((path, bus)) = events {
         write_output(path, &bus.render_jsonl())?;
-        println!("events: {path} ({} events, sdmmon-events-v1)", bus.len());
+        emitln!("events: {path} ({} events, sdmmon-events-v1)", bus.len())?;
     }
     if let Some(path) = metrics_path {
         write_output(path, &sdmmon::obs::metrics().snapshot_json())?;
-        println!("metrics: {path} (sdmmon-metrics-v1)");
+        emitln!("metrics: {path} (sdmmon-metrics-v1)")?;
     }
     Ok(())
 }
@@ -329,16 +358,16 @@ fn cmd_asm(args: &[String]) -> Result<(), CliError> {
         Some(out) => {
             std::fs::write(out, &bytes)
                 .map_err(|e| processing(format!("cannot write {out}: {e}")))?;
-            println!(
+            emitln!(
                 "{}: {} instructions, {} bytes -> {out}",
                 input,
                 program.words.len(),
                 bytes.len()
-            );
+            )?;
         }
         None => {
             for line in sdmmon::isa::disassemble(&program.words, program.base) {
-                println!("{line}");
+                emitln!("{line}")?;
             }
         }
     }
@@ -365,7 +394,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
         .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
     for line in sdmmon::isa::disassemble(&words, base) {
-        println!("{line}");
+        emitln!("{line}")?;
     }
     Ok(())
 }
@@ -405,22 +434,22 @@ fn cmd_graph(args: &[String]) -> Result<(), CliError> {
             _ => indirect_nodes += 1,
         }
     }
-    println!("workload:      {input}");
-    println!("instructions:  {}", graph.len());
-    println!(
+    emitln!("workload:      {input}")?;
+    emitln!("instructions:  {}", graph.len())?;
+    emitln!(
         "hash:          merkle-tree/{compression:?}, param 0x{param:08x}, {} bits",
         graph.hash_bits()
-    );
-    println!(
+    )?;
+    emitln!(
         "graph size:    {} bits compact, {} bytes on the wire",
         graph.compact_size_bits(),
         graph.to_bytes().len()
-    );
-    println!(
+    )?;
+    emitln!(
         "binary ratio:  {:.1}%",
         100.0 * graph.compact_size_bits() as f64 / (program.words.len() * 32) as f64
-    );
-    println!("node kinds:    {branch_nodes} two-way, {indirect_nodes} indirect, {terminal_nodes} terminal");
+    )?;
+    emitln!("node kinds:    {branch_nodes} two-way, {indirect_nodes} indirect, {terminal_nodes} terminal")?;
     Ok(())
 }
 
@@ -474,21 +503,21 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 second: &mut monitor,
             },
         );
-        println!("--- last {} instructions ---", tracer.entries().count());
-        print!("{}", tracer.render());
-        println!("----------------------------");
+        emitln!("--- last {} instructions ---", tracer.entries().count())?;
+        emit!("{}", tracer.render())?;
+        emitln!("----------------------------")?;
         out
     } else {
         core.process_packet(&packet, &mut monitor)
     };
-    println!("verdict:  {}", outcome.verdict);
-    println!("halt:     {}", outcome.halt);
-    println!("steps:    {}", outcome.steps);
-    println!(
+    emitln!("verdict:  {}", outcome.verdict)?;
+    emitln!("halt:     {}", outcome.halt)?;
+    emitln!("steps:    {}", outcome.steps)?;
+    emitln!(
         "monitor:  {} instructions checked, {} violations",
         monitor.stats().instructions_checked,
         monitor.stats().violations
-    );
+    )?;
     Ok(())
 }
 
@@ -696,21 +725,30 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     )
     .map_err(processing)?;
 
-    println!(
+    emitln!(
         "link: loss {:.2}, corrupt {:.2}, stall {:.2}; \
          {} transport retries x {} deploy cycles",
-        flags.loss, flags.corrupt, flags.stall, flags.max_retries, flags.deploy_attempts
-    );
-    println!(
+        flags.loss,
+        flags.corrupt,
+        flags.stall,
+        flags.max_retries,
+        flags.deploy_attempts
+    )?;
+    emitln!(
         "{:<12} {:<11} {:>6} {:>9} {:>9} {:>12}",
-        "router", "phase", "cycles", "transport", "restarts", "network time"
-    );
+        "router",
+        "phase",
+        "cycles",
+        "transport",
+        "restarts",
+        "network time"
+    )?;
     for d in &result.deployments {
         let phase = match d.phase {
             DeployPhase::Installed => "installed",
             DeployPhase::Quarantined => "quarantined",
         };
-        println!(
+        emitln!(
             "{:<12} {:<11} {:>6} {:>9} {:>9} {:>12}",
             d.router,
             phase,
@@ -718,19 +756,19 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
             d.transport_attempts,
             d.integrity_restarts,
             format!("{:.3?}", d.network_time()),
-        );
+        )?;
         if let Some(err) = &d.error {
-            println!("{:<12}   last error: {err}", "");
+            emitln!("{:<12}   last error: {err}", "")?;
         }
     }
-    println!(
+    emitln!(
         "\nfleet: {}/{} installed, {} quarantined ({} server fetches; seed {seed}, \
          replays deterministically)",
         result.installed(),
         routers,
         result.quarantined(),
         server.stats().attempts,
-    );
+    )?;
 
     // Post-deploy shakedown: drive a seeded instruction-memory fault burst
     // through each converged router so the graded supervisor's quarantine
@@ -741,11 +779,11 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
     let image_base = program.base;
     let image_len = program.to_bytes().len() as u32;
     let parole_batches = config.supervisor.adaptive.parole_batches.max(1);
-    println!(
+    emitln!(
         "\nshakedown: graded supervisor under instruction-memory faults (per converged router)"
-    );
+    )?;
     for router in result.fleet.routers_mut() {
-        if router.active_cores().is_empty() {
+        if router.np().active_cores().is_empty() {
             continue;
         }
         let name = router.name().to_owned();
@@ -765,7 +803,7 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
         // burst needs repeated flips). Bounded so an unlucky seed cannot
         // spin forever on flips that miss the executed path.
         for _ in 0..24 {
-            if router.is_quarantined(victim) {
+            if router.np().is_quarantined(victim) {
                 break;
             }
             sdmmon::testkit::fault::flip_text_bit(
@@ -794,20 +832,20 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
             })
             .collect();
         for _ in 0..(2 * parole_batches + 1) {
-            if router.active_cores().is_empty() {
+            if router.np().active_cores().is_empty() {
                 break;
             }
             router.process_batch(&clean);
         }
         router.set_event_bus(None);
-        let health = router.core_health(victim);
-        println!(
+        let health = router.np().core_health(victim);
+        emitln!(
             "{:<12} core {victim}: {faults} faulted packets, peak threat {}, now {} ({})",
             name,
             health.peak_threat.name(),
             health.threat.name(),
-            if router.active_cores().contains(&victim) {
-                if router.is_throttled(victim) {
+            if router.np().active_cores().contains(&victim) {
+                if router.np().is_throttled(victim) {
                     "throttled"
                 } else {
                     "full dispatch share"
@@ -815,38 +853,38 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
             } else {
                 "out of dispatch"
             },
-        );
+        )?;
         let mut forensics = 0u64;
         for event in shakedown_bus.take() {
             match event.kind {
                 "supervisor.throttle" | "supervisor.quarantine" | "supervisor.zeroize" => {
-                    println!(
+                    emitln!(
                         "{:<12}   {} at packet {} (threat {}, score {})",
                         "",
                         event.kind.trim_start_matches("supervisor."),
                         event.clock,
                         event_field(&event, "level"),
                         event_field(&event, "score"),
-                    );
+                    )?;
                 }
                 "supervisor.parole" => {
-                    println!(
+                    emitln!(
                         "{:<12}   parole at batch clock {} restores {} share (threat {})",
                         "",
                         event.clock,
                         event_field(&event, "restored"),
                         event_field(&event, "level"),
-                    );
+                    )?;
                 }
                 "supervisor.forensic" => forensics += 1,
                 _ => {}
             }
         }
         if forensics > 0 {
-            println!(
+            emitln!(
                 "{:<12}   {forensics} forensic pre-detection events captured (see --events)",
                 ""
-            );
+            )?;
         }
     }
 
@@ -865,7 +903,8 @@ fn cmd_deploy(args: &[String]) -> Result<(), CliError> {
 /// key wraps, wire-format v2 with per-section checksums. Writes the
 /// byte-stable `sdmmon-fleet-v1` report to `--out`.
 fn cmd_deploy_fleet(a: &Args) -> Result<(), CliError> {
-    use sdmmon::testkit::{fleet_report_json, run_fleet_scale, FleetScaleConfig};
+    use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
+    use sdmmon::testkit::fleet_report_json;
 
     let flags = DeployFlags::parse(a, (64, 1), [0.05, 0.02, 0.02])?;
     let relays = a.number("--relays", "relays")?.unwrap_or(4) as usize;
@@ -876,37 +915,42 @@ fn cmd_deploy_fleet(a: &Args) -> Result<(), CliError> {
     flags.validate()?;
     let (seed, loss, corrupt, stall) = (flags.seed, flags.loss, flags.corrupt, flags.stall);
 
-    let mut cfg = FleetScaleConfig::new(seed)
-        .with_routers(flags.routers)
-        .with_relays(relays);
-    cfg.deploy.cores_each = flags.cores;
-    cfg.deploy.key_pool = key_pool;
-    cfg.deploy.max_deploy_attempts = flags.deploy_attempts;
-    cfg.deploy.link = flags.link();
-    cfg.deploy.retry = flags.retry();
-    cfg.deploy.outage = flags.outage;
-    cfg.deploy.blackhole_router = flags.blackhole;
-
+    let cfg = FleetDeployConfig {
+        routers: flags.routers,
+        relays,
+        cores_each: flags.cores,
+        key_pool,
+        link: flags.link(),
+        retry: flags.retry(),
+        max_deploy_attempts: flags.deploy_attempts,
+        outage: flags.outage,
+        blackhole_router: flags.blackhole,
+        ..FleetDeployConfig::default()
+    };
+    let program = sdmmon::npu::programs::ipv4_forward().map_err(processing)?;
     let bus = a.option("--events").map(|_| EventBus::new());
-    let report = run_fleet_scale(&cfg, bus.as_ref()).map_err(processing)?;
-    println!(
+    let report = deploy_fleet(&cfg, &program, seed, bus.as_ref()).map_err(processing)?;
+    emitln!(
         "tree: {} routers over {} relays, {} core(s) each, {} distinct keys; \
          link loss {loss:.2} corrupt {corrupt:.2} stall {stall:.2}",
-        report.routers, report.relays, report.cores_each, report.key_pool
-    );
-    println!("{}", report.summary());
+        report.routers,
+        report.relays,
+        report.cores_each,
+        report.key_pool
+    )?;
+    emitln!("{}", report.summary())?;
     for row in report.rows.iter().filter(|r| !r.installed) {
-        println!(
+        emitln!(
             "  quarantined router {} (relay {}, {} cycles): {}",
             row.router,
             row.relay,
             row.cycles,
             row.error.as_deref().unwrap_or("unknown"),
-        );
+        )?;
     }
     let out = a.option("--out").unwrap_or("target/FLEET.json");
     write_output(out, &fleet_report_json(&report).render(0))?;
-    println!("report: {out} (seed {seed}, replays byte-identically)");
+    emitln!("report: {out} (seed {seed}, replays byte-identically)")?;
     let events = a.option("--events").zip(bus.as_ref());
     write_observability(events, a.option("--metrics"))?;
     if report.installed == 0 {
@@ -944,16 +988,16 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     // hash at least 4x faster bit-sliced than scalar, or the bench fails.
     if a.switch("--hash") {
         let report = hashbench::run(&HashBenchConfig::new(quick));
-        print!("{}", report.table());
+        emit!("{}", report.table())?;
         let headline = report.headline();
-        println!(
+        emitln!(
             "\nheadline: {:.2}x scalar for `{}` ({} words, best of {}; \
              outputs identical to the scalar oracle)",
             headline.speedup(),
             headline.label(),
             report.words,
             report.repeats,
-        );
+        )?;
         write_observability(None, metrics_path)?;
         if headline.speedup() < 4.0 {
             return Err(processing(format!(
@@ -971,14 +1015,16 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     // observability level.
     let bus = events_path.map(|_| std::sync::Arc::new(EventBus::new()));
     let report = sharded::run(&ShardedConfig::new(quick, max_shards), bus.as_ref());
-    print!("{}", report.table());
+    emit!("{}", report.table())?;
     let headline = report.headline();
     let speedup = report.speedup(&headline);
-    println!(
+    emitln!(
         "\nheadline: {speedup:.2}x serial at {} shards ({} packets, best of {}; \
          outcomes and NpStats byte-identical to serial)",
-        headline.shards, report.packets, report.repeats,
-    );
+        headline.shards,
+        report.packets,
+        report.repeats,
+    )?;
     let events = events_path.zip(bus.as_deref());
     write_observability(events, metrics_path)?;
     if speedup < 1.0 {
@@ -1006,15 +1052,15 @@ fn cmd_frontier(args: &[String]) -> Result<(), CliError> {
         cfg = cfg.quick();
     }
     let report = run_frontier(&cfg).map_err(processing)?;
-    print!("{}", frontier_table(&report));
+    emit!("{}", frontier_table(&report))?;
     match report.verify_monotone() {
         Ok(()) => {
-            println!("frontier: monotone — stricter policies trade served packets for escapes")
+            emitln!("frontier: monotone — stricter policies trade served packets for escapes")?
         }
-        Err(msg) => println!("frontier: NOT monotone at this seed ({msg})"),
+        Err(msg) => emitln!("frontier: NOT monotone at this seed ({msg})")?,
     }
     write_output(out, &(frontier_json(&report).render(0) + "\n"))?;
-    println!("report: {out} (sdmmon-frontier-v1, seed {seed}, replays byte-identically)");
+    emitln!("report: {out} (sdmmon-frontier-v1, seed {seed}, replays byte-identically)")?;
     Ok(())
 }
 
@@ -1026,7 +1072,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
             return Err(usage("`campaign --list` takes no other options"));
         }
         for (name, desc) in sdmmon::testkit::campaign::CAMPAIGN_CATALOG {
-            println!("{name:<20} {desc}");
+            emitln!("{name:<20} {desc}")?;
         }
         return Ok(());
     }
@@ -1073,7 +1119,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
     if let Some(bus) = &bus {
         bus.extend(report.to_events());
     }
-    print!("{}", report.summary());
+    emit!("{}", report.summary())?;
     report
         .verify_accounting()
         .map_err(|msg| processing(format!("accounting violated: {msg}")))?;
@@ -1084,7 +1130,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
         )));
     }
     write_output(out, &report.to_json())?;
-    println!("\nreport: {out} (seed {seed}, replays byte-identically)");
+    emitln!("\nreport: {out} (seed {seed}, replays byte-identically)")?;
     let events = a.option("--events").zip(bus.as_ref());
     write_observability(events, a.option("--metrics"))?;
     Ok(())
@@ -1171,21 +1217,21 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
 
     let report = streamed.report;
     let drop_rate = report.dropped as f64 / report.offered.max(1) as f64;
-    println!(
+    emitln!(
         "seed {seed}: {round_count} rounds, {CORES} cores, {shards} shard(s), \
          ingress budget {capacity}/shard"
-    );
-    println!(
+    )?;
+    emitln!(
         "stream: offered {} / admitted {} / dropped {} ({:.1}%) / steals {}",
         report.offered,
         report.admitted,
         report.dropped,
         drop_rate * 100.0,
         report.steals,
-    );
-    println!("queue delay (packets ahead at admission): p50 {p50} / p99 {p99} / p999 {p999}");
-    println!("np stats: {}", stream_stats.to_json());
-    println!("byte-identical to the serial streaming oracle: yes");
+    )?;
+    emitln!("queue delay (packets ahead at admission): p50 {p50} / p99 {p99} / p999 {p999}")?;
+    emitln!("np stats: {}", stream_stats.to_json())?;
+    emitln!("byte-identical to the serial streaming oracle: yes")?;
 
     // Timing-free by construction: every value below is a deterministic
     // function of the seed and the knobs, so the file replays byte for
@@ -1208,7 +1254,7 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
     json.push_str(&format!("  \"np\": {},\n", stream_stats.to_json()));
     json.push_str("  \"byte_identical\": true\n}\n");
     write_output(out, &json)?;
-    println!("report: {out} (sdmmon-stream-v1, seed {seed}, replays byte-identically)");
+    emitln!("report: {out} (sdmmon-stream-v1, seed {seed}, replays byte-identically)")?;
     write_observability(None, metrics_path)?;
     Ok(())
 }
@@ -1311,7 +1357,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 
     if let Some(path) = events_path {
         write_output(path, &bus.render_jsonl())?;
-        println!("events: {path} ({} events, sdmmon-events-v1)", bus.len());
+        emitln!("events: {path} ({} events, sdmmon-events-v1)", bus.len())?;
     }
     let events = bus.take();
     let traces = assemble_traces(&events);
@@ -1319,21 +1365,24 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     let flight_traces = traces.iter().filter(|t| !t.sampled).count();
     let span_count: usize = traces.iter().map(|t| t.spans.len()).sum();
 
-    println!(
+    emitln!(
         "seed {seed}: {round_count} rounds, {CORES} cores, sample {sample}\u{2030}, \
          flight window {}",
         tc.flight_window
-    );
-    println!(
+    )?;
+    emitln!(
         "stream: offered {} / admitted {} (no drops by construction), fleet {}/{} installed",
-        report.offered, report.admitted, fleet.installed, fleet_cfg.routers
-    );
-    println!(
+        report.offered,
+        report.admitted,
+        fleet.installed,
+        fleet_cfg.routers
+    )?;
+    emitln!(
         "traces: {} ({} sampled, {} flight-promoted), {span_count} spans",
         traces.len(),
         sampled_traces,
         flight_traces
-    );
+    )?;
 
     // The artifact: everything below is a pure function of the seed and
     // the knobs above — no shard count, no wall clock — so it replays
@@ -1379,7 +1428,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     }
     json.push_str("  ]\n}\n");
     write_output(out, &json)?;
-    println!("report: {out} (sdmmon-trace-v1, seed {seed}, replays byte-identically)");
+    emitln!("report: {out} (sdmmon-trace-v1, seed {seed}, replays byte-identically)")?;
 
     if let Some(path) = perfetto_path {
         // Chrome trace-event format: complete events (`ph: "X"`) with the
@@ -1410,7 +1459,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         }
         pj.push_str("\n]}\n");
         write_output(path, &pj)?;
-        println!("perfetto: {path} (chrome trace-event JSON, logical clocks)");
+        emitln!("perfetto: {path} (chrome trace-event JSON, logical clocks)")?;
     }
     write_observability(None, metrics_path)?;
     Ok(())
@@ -1499,23 +1548,23 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     np.process_batch(&packets[split..]);
 
     let stats = np.stats();
-    println!(
+    emitln!(
         "seed {seed}: {} packets, {cores} cores, {shards} shard(s)",
         packets.len()
-    );
-    println!("np stats: {}", stats.to_json());
+    )?;
+    emitln!("np stats: {}", stats.to_json())?;
     // Tail view of the power-of-two detection-latency histogram: how many
     // executed instructions an attack survived before a monitor flagged it.
     let latency = sdmmon::obs::metrics().hist_buckets(sdmmon::obs::Hist::DetectionLatencySteps);
     if latency.iter().any(|&c| c > 0) {
-        println!(
+        emitln!(
             "detection latency (instructions, bucket lower bounds): p50 {} / p99 {} / p999 {}",
             sdmmon::obs::percentile(&latency, 500),
             sdmmon::obs::percentile(&latency, 990),
             sdmmon::obs::percentile(&latency, 999),
-        );
+        )?;
     }
-    print!("{}", sdmmon::obs::metrics().snapshot_json());
+    emit!("{}", sdmmon::obs::metrics().snapshot_json())?;
     let events = a.option("--events").zip(bus.as_deref());
     write_observability(events, a.option("--metrics"))?;
     Ok(())

@@ -411,3 +411,30 @@ fn tree_deploy_counts_one_prepared_update_per_push() {
     let text = std::fs::read_to_string(&metrics).expect("metrics written");
     assert!(text.contains("\"fleet_updates_prepared\": 1,"), "{text}");
 }
+
+#[test]
+fn output_into_a_closed_pipe_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // 64 Ki zero words disassemble to megabytes of text — far more than a
+    // pipe buffers, so the writer is still going when the reader leaves.
+    let image = write_temp("zeros.bin", "");
+    std::fs::write(&image, vec![0u8; 256 * 1024]).expect("write image");
+    let mut child = sdmmon()
+        .arg("disasm")
+        .arg(&image)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.contains("00000000"), "{first}");
+    // The reader went away with the statement above, like `… | head -1`.
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

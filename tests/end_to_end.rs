@@ -68,7 +68,7 @@ fn full_lifecycle_with_mixed_traffic() {
         }
     }
     assert!(malformed > 30, "the generator produced malformed packets");
-    let stats = router.stats();
+    let stats = router.np().stats();
     assert_eq!(stats.processed, 300);
     assert_eq!(stats.violations, 0);
     assert_eq!(stats.recoveries, 0);
@@ -111,7 +111,7 @@ fn attack_detection_and_recovery_through_full_stack() {
             "service restored, round {round}"
         );
     }
-    let stats = router.stats();
+    let stats = router.np().stats();
     assert_eq!(stats.violations, 3);
     assert_eq!(stats.recoveries, 3);
     assert_eq!(stats.forwarded, 3);
@@ -142,7 +142,7 @@ fn runtime_reprogramming_switches_and_keeps_monitoring() {
         assert_eq!(out.verdict, Verdict::Forward(3));
     }
     assert_eq!(
-        router.stats().violations,
+        router.np().stats().violations,
         0,
         "reprogramming never trips the monitor"
     );

@@ -4,7 +4,7 @@
 //! download property (including under link faults), and seeded campaign
 //! replay with O(relays) origin egress.
 
-use sdmmon::core::distrib::{fetch_document, SectionCache};
+use sdmmon::core::distrib::{deploy_fleet, fetch_document, FleetDeployConfig, SectionCache};
 use sdmmon::core::entities::{Manufacturer, NetworkOperator};
 use sdmmon::core::wire2::BundleV2;
 use sdmmon::crypto::rsa::RsaKeyPair;
@@ -13,7 +13,7 @@ use sdmmon::net::channel::{Channel, FileServer};
 use sdmmon::net::download::{DownloadClient, RetryPolicy};
 use sdmmon::net::resilience::{FlakyServer, LossyChannel};
 use sdmmon::npu::programs;
-use sdmmon::testkit::{fleet_report_json, run_fleet_scale, FleetScaleConfig};
+use sdmmon::testkit::fleet_report_json;
 use sdmmon_rng::SeedableRng;
 
 /// Signing authorities need SHA-256-sized moduli.
@@ -100,7 +100,11 @@ fn v1_and_v2_installs_agree_across_seeds_and_core_counts() {
                     "seed {seed}, {cores} cores, packet {i}"
                 );
             }
-            assert_eq!(r_v1.stats(), r_v2.stats(), "seed {seed}, {cores} cores");
+            assert_eq!(
+                r_v1.np().stats(),
+                r_v2.np().stats(),
+                "seed {seed}, {cores} cores"
+            );
         }
     }
 }
@@ -207,11 +211,14 @@ fn delta_update_equals_full_download_for_any_version_pair() {
 /// tier that actually serves routers) is unchanged.
 #[test]
 fn fleet_campaign_replays_and_origin_egress_is_o_relays() {
-    let cfg = FleetScaleConfig::new(0x00AB_CDEF)
-        .with_routers(96)
-        .with_relays(4);
-    let r1 = run_fleet_scale(&cfg, None).expect("campaign");
-    let r2 = run_fleet_scale(&cfg, None).expect("campaign replay");
+    let program = programs::ipv4_forward().expect("workload");
+    let cfg = FleetDeployConfig {
+        routers: 96,
+        relays: 4,
+        ..FleetDeployConfig::default()
+    };
+    let r1 = deploy_fleet(&cfg, &program, 0x00AB_CDEF, None).expect("campaign");
+    let r2 = deploy_fleet(&cfg, &program, 0x00AB_CDEF, None).expect("campaign replay");
     assert_eq!(
         fleet_report_json(&r1).render(0),
         fleet_report_json(&r2).render(0),
@@ -220,10 +227,10 @@ fn fleet_campaign_replays_and_origin_egress_is_o_relays() {
     assert_eq!(r1.installed, 96);
     assert_eq!(r1.quarantined, 0);
 
-    let wide = run_fleet_scale(
-        &FleetScaleConfig::new(0x00AB_CDEF)
-            .with_routers(96)
-            .with_relays(8),
+    let wide = deploy_fleet(
+        &FleetDeployConfig { relays: 8, ..cfg },
+        &program,
+        0x00AB_CDEF,
         None,
     )
     .expect("wide campaign");
@@ -243,12 +250,15 @@ fn fleet_campaign_replays_and_origin_egress_is_o_relays() {
 /// the victim.
 #[test]
 fn blackholed_router_quarantines_alone_under_faults() {
-    let cfg = FleetScaleConfig::new(7)
-        .with_routers(24)
-        .with_relays(3)
-        .with_faults(0.05, 0.05)
-        .with_blackhole(17);
-    let report = run_fleet_scale(&cfg, None).expect("campaign");
+    let program = programs::ipv4_forward().expect("workload");
+    let mut cfg = FleetDeployConfig {
+        routers: 24,
+        relays: 3,
+        blackhole_router: Some(17),
+        ..FleetDeployConfig::default()
+    };
+    cfg.link = cfg.link.with_loss(0.05).with_corrupt(0.05);
+    let report = deploy_fleet(&cfg, &program, 7, None).expect("campaign");
     assert_eq!(report.quarantined_routers, vec![17]);
     assert_eq!(report.installed, 23);
     let doc = fleet_report_json(&report).render(0);

@@ -2,8 +2,10 @@
 //! or chunk fetch the server saw, except integrity rejects, which discard
 //! an assembly without a round trip. So on both deploy paths
 //! `net_download_attempts - net_integrity_restarts` equals the servers'
-//! own attempt count. This file holds a single test, which runs in its own
-//! process, so the global metrics registry's counts are exact.
+//! own attempt count, and on the per-router path the deploy records book
+//! every attempt and integrity restart, downloads that gave up included.
+//! This file holds a single test, which runs in its own process, so the
+//! global metrics registry's counts are exact.
 
 use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
 use sdmmon::core::entities::{Manufacturer, NetworkOperator};
@@ -32,54 +34,87 @@ fn client_books() -> (u64, u64) {
     )
 }
 
+/// One `Fleet::deploy_resilient` run from a clean registry, set up the way
+/// `sdmmon deploy` sets it up (512-bit authorities, then the server seeded
+/// from the same rng and armed by `arm`). Checks the per-router books
+/// against the registry: attempts against the server's and the deploy
+/// records', integrity restarts against the deploy records'.
+fn check_per_router_books(
+    seed: u64,
+    (routers, cores, key_bits): (usize, usize, usize),
+    config: &ResilientConfig,
+    arm: impl FnOnce(&mut FlakyServer),
+) {
+    metrics().reset();
+    let program = programs::ipv4_forward().expect("embedded workload assembles");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let manufacturer = Manufacturer::new("acme", 512, &mut rng).expect("keygen");
+    let mut operator = NetworkOperator::new("op", 512, &mut rng).expect("keygen");
+    operator.accept_certificate(manufacturer.certify_operator(operator.public_key(), "op"));
+    let mut server = FlakyServer::new(FileServer::new(), rng.next_u64());
+    arm(&mut server);
+    let fleet = Fleet::deploy_resilient(
+        &manufacturer,
+        &operator,
+        &program,
+        routers,
+        cores,
+        key_bits,
+        &mut server,
+        config,
+        &mut rng,
+        None,
+    )
+    .expect("deploy");
+    let (attempts, restarts) = client_books();
+    assert!(restarts > 0, "seed {seed}: no integrity restart exercised");
+    assert_eq!(attempts - restarts, server.attempts(), "seed {seed}");
+    let logged: u64 = fleet
+        .deployments
+        .iter()
+        .map(|d| u64::from(d.transport_attempts))
+        .sum();
+    assert_eq!(attempts, logged, "seed {seed}");
+    let booked: u64 = fleet
+        .deployments
+        .iter()
+        .map(|d| u64::from(d.integrity_restarts))
+        .sum();
+    assert_eq!(restarts, booked, "seed {seed}");
+}
+
 #[test]
 fn client_attempts_match_server_attempts_on_both_deploy_paths() {
-    let program = programs::ipv4_forward().expect("embedded workload assembles");
     let retry = RetryPolicy::default()
         .with_chunk_bytes(16 * 1024)
         .with_max_attempts(60);
 
     // Per-router path: whole-file downloads from one flaky server.
     for seed in [3u64, 4, 5] {
-        metrics().reset();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let manufacturer = Manufacturer::new("acme", 512, &mut rng).expect("keygen");
-        let mut operator = NetworkOperator::new("op", 512, &mut rng).expect("keygen");
-        operator.accept_certificate(manufacturer.certify_operator(operator.public_key(), "op"));
-        let mut server = FlakyServer::new(FileServer::new(), rng.next_u64());
-        server.schedule_outage(OutageWindow { from: 2, len: 5 });
-        server.blackhole("pkg/router-2.sdmmon");
         let config = ResilientConfig {
             link: faulty_link(0.3, 0.3),
             retry,
             max_deploy_attempts: 3,
             supervisor: SupervisorPolicy::default(),
         };
-        let fleet = Fleet::deploy_resilient(
-            &manufacturer,
-            &operator,
-            &program,
-            6,
-            1,
-            256,
-            &mut server,
-            &config,
-            &mut rng,
-            None,
-        )
-        .expect("deploy");
-        let (attempts, restarts) = client_books();
-        assert!(restarts > 0, "seed {seed}: no integrity restart exercised");
-        assert_eq!(attempts - restarts, server.attempts(), "seed {seed}");
-        let logged: u64 = fleet
-            .deployments
-            .iter()
-            .map(|d| u64::from(d.transport_attempts))
-            .sum();
-        assert_eq!(attempts, logged, "seed {seed}");
+        check_per_router_books(seed, (6, 1, 256), &config, |server| {
+            server.schedule_outage(OutageWindow { from: 2, len: 5 });
+            server.blackhole("pkg/router-2.sdmmon");
+        });
     }
+    // `sdmmon deploy --routers 5 --cores 2 --seed 4 --loss 0.2 --corrupt 0.5
+    // --stall 0.1 --max-retries 6 --deploy-attempts 2`: downloads give up
+    // after integrity restarts, which the deploy records must book too.
+    let config = ResilientConfig {
+        link: faulty_link(0.2, 0.5).with_stall(0.1),
+        retry: retry.with_max_attempts(6),
+        max_deploy_attempts: 2,
+        supervisor: SupervisorPolicy::default(),
+    };
+    check_per_router_books(4, (5, 2, 512), &config, |_| {});
 
     // Relay tree: ranged section fetches from the origin and the relays.
+    let program = programs::ipv4_forward().expect("embedded workload assembles");
     for seed in [7u64, 8, 9] {
         metrics().reset();
         let config = FleetDeployConfig {
