@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repo gate: formatting, lints, full test suite, a quick perf smoke run
+# Repo gate: formatting, lints, warning-free rustdoc, full test suite, a quick perf smoke run
 # (quick mode writes target/BENCH_PR10.quick.json; the committed
 # BENCH_PR10.json comes from a full release run of the same binary), the
 # sharded-engine throughput gate (with and without metrics recording),
@@ -31,6 +31,9 @@ fi
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --release -- -D warnings
+# Rustdoc gate: no broken or private intra-doc links, so deleting an item
+# cannot leave a dangling link behind in the docs of another.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
 cargo test -q --workspace --release

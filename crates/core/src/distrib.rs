@@ -4,8 +4,7 @@
 //! file server and re-prepares a full bundle per router — at 10k routers
 //! the operator's egress and RSA bill both scale O(routers). This module
 //! is the fleet-scale control plane built on the shared-package split of
-//! [`FleetUpdate`](crate::entities::FleetUpdate) and wire-format v2
-//! ([`crate::wire2`]):
+//! [`FleetUpdate`] and wire-format v2 ([`crate::wire2`]):
 //!
 //! * the operator prepares **one** update (one graph extraction, one
 //!   signature, one section-encryption pass) and publishes the shared

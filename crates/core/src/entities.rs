@@ -465,8 +465,7 @@ impl FleetUpdate {
     /// Wraps the package key for a whole fleet in one batched pass —
     /// byte-identical to calling [`FleetUpdate::wrap_key_for`] per router
     /// with the same rng, but amortizing Montgomery context setup across
-    /// routers that share pool keys (see
-    /// [`wrap_key_batch`](sdmmon_crypto::rsa::wrap_key_batch)).
+    /// routers that share pool keys (see [`wrap_key_batch`]).
     ///
     /// # Errors
     ///

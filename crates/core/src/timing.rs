@@ -62,18 +62,6 @@ impl NiosCycleModel {
         }
     }
 
-    /// A model of the same algorithms on a modern application processor
-    /// (for the ablation: how much of Table 2 is the soft core's fault).
-    pub fn modern_cpu() -> NiosCycleModel {
-        NiosCycleModel {
-            clock_hz: 3e9,
-            invocation_overhead_cycles: 2e6,
-            cycles_per_limb_mult: 1.0,
-            aes_cycles_per_byte: 2.0,
-            sha256_cycles_per_byte: 8.0,
-        }
-    }
-
     fn seconds(&self, cycles: f64) -> Duration {
         Duration::from_secs_f64(cycles / self.clock_hz)
     }
@@ -255,15 +243,6 @@ mod tests {
         let t1 = m.aes_cbc(100_000).as_secs_f64() - overhead;
         let t2 = m.aes_cbc(200_000).as_secs_f64() - overhead;
         assert!((t2 / t1 - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn modern_cpu_is_orders_of_magnitude_faster() {
-        let paper = NiosCycleModel::paper();
-        let modern = NiosCycleModel::modern_cpu();
-        let slow = paper.rsa_private_op(2048).as_secs_f64();
-        let fast = modern.rsa_private_op(2048).as_secs_f64();
-        assert!(slow / fast > 500.0, "{slow} vs {fast}");
     }
 
     #[test]

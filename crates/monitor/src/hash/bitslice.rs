@@ -109,7 +109,7 @@ pub fn swar_add_mod16(a: u64, b: u64) -> u64 {
 ///
 /// The network is a shared-subterm factoring of the S-box's algebraic
 /// normal form (derived by Möbius transform, verified exhaustively in the
-/// tests); complements are realized as XOR with [`LANE_LSB`] so bits
+/// tests); complements are realized as XOR with `LANE_LSB` so bits
 /// outside the sub-plane positions stay zero.
 #[inline]
 pub fn sbox_planes(x: u64) -> u64 {

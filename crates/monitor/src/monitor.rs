@@ -53,13 +53,10 @@ pub struct HardwareMonitor<H: InstructionHash> {
     /// the hardware actually compares against, one memory access per
     /// retired instruction.
     node_hashes: Vec<u8>,
-    /// Flattened successor lists as node indices (not addresses).
-    succ_edges: Vec<u32>,
-    /// Per-node `(start, end)` span into [`Self::succ_edges`].
-    succ_spans: Vec<(u32, u32)>,
-    /// Per-node successor lists pre-sorted and deduplicated — exactly what
-    /// the general path's `sort_unstable` + `dedup` produces for a
-    /// singleton candidate set, computed once at construction so the
+    /// Flattened per-node successor lists as node indices (not
+    /// addresses), each sorted and deduplicated — exactly the set the
+    /// general path's `sort_unstable` + `dedup` produces for a singleton
+    /// candidate set, computed once at construction so the
     /// block-verification path ([`ExecutionObserver::run_packet`]) advances
     /// with a span copy instead of a sort per instruction.
     fast_edges: Vec<u32>,
@@ -96,34 +93,25 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             "graph and hash function disagree on output width"
         );
         let mut node_hashes = Vec::with_capacity(graph.len());
-        let mut succ_edges = Vec::new();
-        let mut succ_spans = Vec::with_capacity(graph.len());
+        let mut fast_edges = Vec::new();
+        let mut fast_spans = Vec::with_capacity(graph.len());
         for (_, node) in graph.iter() {
             node_hashes.push(node.hash);
-            let start = succ_edges.len() as u32;
-            succ_edges.extend(
-                node.successors
-                    .iter()
-                    .filter_map(|&addr| node_index(&graph, addr)),
-            );
-            succ_spans.push((start, succ_edges.len() as u32));
-        }
-        let mut fast_edges = Vec::with_capacity(succ_edges.len());
-        let mut fast_spans = Vec::with_capacity(succ_spans.len());
-        for &(start, end) in &succ_spans {
-            let mut sorted: Vec<u32> = succ_edges[start as usize..end as usize].to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let fast_start = fast_edges.len() as u32;
-            fast_edges.extend(sorted);
-            fast_spans.push((fast_start, fast_edges.len() as u32));
+            let mut successors: Vec<u32> = node
+                .successors
+                .iter()
+                .filter_map(|&addr| node_index(&graph, addr))
+                .collect();
+            successors.sort_unstable();
+            successors.dedup();
+            let start = fast_edges.len() as u32;
+            fast_edges.extend(successors);
+            fast_spans.push((start, fast_edges.len() as u32));
         }
         HardwareMonitor {
             graph,
             hash,
             node_hashes,
-            succ_edges,
-            succ_spans,
             fast_edges,
             fast_spans,
             current: Vec::new(),
@@ -175,7 +163,9 @@ impl<H: InstructionHash> HardwareMonitor<H> {
         self.advance_candidates(observed)
     }
 
-    /// Candidate-set advance for an already-computed hash value.
+    /// Candidate-set advance for an already-computed hash value: the
+    /// union of the matched candidates' successor spans, sorted and
+    /// deduplicated.
     fn advance_candidates(&mut self, observed: u8) -> Observation {
         self.scratch.clear();
         let mut matched = false;
@@ -183,9 +173,9 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             let cand = self.current[i] as usize;
             if self.node_hashes[cand] == observed {
                 matched = true;
-                let (start, end) = self.succ_spans[cand];
+                let (start, end) = self.fast_spans[cand];
                 self.scratch
-                    .extend_from_slice(&self.succ_edges[start as usize..end as usize]);
+                    .extend_from_slice(&self.fast_edges[start as usize..end as usize]);
             }
         }
         if !matched {
@@ -382,19 +372,7 @@ impl<H: InstructionHash> BlockObserver for BlockRun<'_, H> {
             }
             self.tail += words.len() as u64;
         }
-        for i in 0..words.len() {
-            // Observability hook for the hot loop: a no-op sink unless the
-            // `obs-hot` feature opts into per-retired-instruction
-            // recording (the default level settles instruction counts once
-            // per packet in the NP instead — see `sdmmon-obs`).
-            #[cfg(feature = "obs-hot")]
-            sdmmon_obs::metrics().inc(sdmmon_obs::Counter::MonitorHotInstructions);
-            let observed = self.hashes[i];
-            if self.advance(observed) == Observation::Violation {
-                return Some(i);
-            }
-        }
-        None
+        (0..words.len()).find(|&i| self.advance(self.hashes[i]) == Observation::Violation)
     }
 }
 
@@ -582,19 +560,23 @@ mod tests {
     #[test]
     fn compiled_tables_mirror_graph() {
         // The dense index tables built at construction must be a faithful
-        // compilation of the address-keyed graph.
+        // compilation of the address-keyed graph: per node, its hash and
+        // its successor set, sorted and deduplicated.
         let program = programs::ipv4_cm().unwrap();
         let hash = MerkleTreeHash::new(0x1234);
         let graph = MonitoringGraph::extract(&program, &hash).unwrap();
         let monitor = HardwareMonitor::new(graph.clone(), hash);
         for (i, (addr, node)) in graph.iter().enumerate() {
             assert_eq!(monitor.node_hashes[i], node.hash, "hash at {addr:#x}");
-            let (start, end) = monitor.succ_spans[i];
-            let succ_addrs: Vec<u32> = monitor.succ_edges[start as usize..end as usize]
+            let (start, end) = monitor.fast_spans[i];
+            let succ_addrs: Vec<u32> = monitor.fast_edges[start as usize..end as usize]
                 .iter()
                 .map(|&idx| graph.base() + 4 * idx)
                 .collect();
-            assert_eq!(succ_addrs, node.successors, "successors at {addr:#x}");
+            let mut want = node.successors.clone();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(succ_addrs, want, "successors at {addr:#x}");
         }
     }
 

@@ -10,7 +10,7 @@ use sdmmon_monitor::graph::MonitoringGraph;
 use sdmmon_monitor::hash::{Compression, InstructionHash, MerkleTreeHash, WidthHash, BLOCK_LANES};
 use sdmmon_monitor::monitor::HardwareMonitor;
 use sdmmon_npu::core::Core;
-use sdmmon_npu::cpu::ExecutionObserver;
+use sdmmon_npu::cpu::{ExecutionObserver, Observation};
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::runtime::HaltReason;
 use sdmmon_rng::{Rng, RngCore, SeedableRng, StdRng};
@@ -316,5 +316,149 @@ fn degenerate_programs_are_handled() {
         assert_eq!(graph.len(), program.words.len(), "{src}");
         let block_graph = BlockGraph::extract(&program, &hash).unwrap();
         assert!(!block_graph.is_empty(), "{src}");
+    }
+}
+
+/// Serializes a hand-built graph (the `MonitoringGraph::to_bytes` layout)
+/// and loads it — the way a graph whose successor lists extraction would
+/// never produce reaches a monitor.
+fn crafted_graph(base: u32, hashes: &[u8], successors: &[Vec<u32>]) -> MonitoringGraph {
+    let mut bytes = b"SDMG".to_vec();
+    bytes.extend_from_slice(&base.to_be_bytes());
+    bytes.push(4);
+    bytes.extend_from_slice(&(hashes.len() as u32).to_be_bytes());
+    for (&hash, succ) in hashes.iter().zip(successors) {
+        bytes.push(hash);
+        bytes.extend_from_slice(&(succ.len() as u16).to_be_bytes());
+        for addr in succ {
+            bytes.extend_from_slice(&addr.to_be_bytes());
+        }
+    }
+    MonitoringGraph::from_bytes(&bytes).expect("well-formed graph")
+}
+
+/// One step of the direct walk over the address-keyed graph, as
+/// `campaign::escape_model_for` runs it: the union of the successors of
+/// every candidate whose hash matches, sorted and deduplicated; `None`
+/// when no candidate matches. Successors outside the graph can never
+/// match a later hash, so the walk drops them, as the compiled monitor
+/// does at construction.
+fn graph_step(graph: &MonitoringGraph, candidates: &[u32], observed: u8) -> Option<Vec<u32>> {
+    let mut next = Vec::new();
+    let mut matched = false;
+    for &c in candidates {
+        let node = graph.node(c).expect("candidates are graph nodes");
+        if node.hash == observed {
+            matched = true;
+            next.extend(
+                node.successors
+                    .iter()
+                    .copied()
+                    .filter(|&s| graph.node(s).is_some()),
+            );
+        }
+    }
+    next.sort_unstable();
+    next.dedup();
+    matched.then_some(next)
+}
+
+/// The compiled monitor follows the graph it compiles: started at random
+/// nodes and fed legitimate and random instruction words through
+/// `observe`, it reaches the same verdict and the same candidate-set size
+/// as [`graph_step`] at every step, and keeps the same statistics.
+/// Graphs: the seeded workloads, seeded random-word programs, a `beq`
+/// that targets its own fall-through, and a loaded graph whose nodes
+/// repeat successors and point outside the graph.
+#[test]
+fn compiled_monitor_matches_a_direct_graph_walk() {
+    let mut rng = StdRng::seed_from_u64(0x4D0_000A);
+    let self_branch = Assembler::new()
+        .assemble(
+            "loop: beq $t0, $t1, next   # taken target == fall-through
+             next: addiu $t0, $t0, 1
+                   bne $t0, $t2, loop
+                   break 0",
+        )
+        .expect("assembles");
+    let mut programs = vec![
+        programs::ipv4_forward().expect("workload assembles"),
+        programs::ipv4_cm().expect("workload assembles"),
+        programs::vulnerable_forward().expect("workload assembles"),
+        self_branch,
+    ];
+    for _ in 0..8 {
+        let words = (0..rng.gen_range(1..64usize))
+            .map(|_| rng.next_u32())
+            .collect();
+        programs.push(sdmmon_isa::asm::Program {
+            base: 0,
+            words,
+            symbols: Default::default(),
+        });
+    }
+    let mut cases: Vec<(MonitoringGraph, MerkleTreeHash, Vec<u32>)> = programs
+        .into_iter()
+        .map(|program| {
+            let hash = MerkleTreeHash::with_compression(rng.next_u32(), arb_compression(&mut rng));
+            let graph = MonitoringGraph::extract(&program, &hash).expect("graph extracts");
+            (graph, hash, program.words)
+        })
+        .collect();
+
+    let base = 0x100u32;
+    let len = 12u32;
+    let hash = MerkleTreeHash::new(rng.next_u32());
+    let words: Vec<u32> = (0..len).map(|_| rng.next_u32()).collect();
+    let hashes: Vec<u8> = words.iter().map(|&w| hash.hash(w)).collect();
+    let outside = [base - 4, base + 4 * len, base + 2];
+    let successors: Vec<Vec<u32>> = (0..len)
+        .map(|i| {
+            // Every node repeats its first successor.
+            let first = base + 4 * ((i + 1) % len);
+            let mut succ = vec![first, first];
+            for _ in 0..rng.gen_range(0..5usize) {
+                succ.push(if rng.gen_bool(0.25) {
+                    outside[rng.gen_range(0..outside.len())]
+                } else {
+                    base + 4 * rng.gen_range(0..len)
+                });
+            }
+            succ
+        })
+        .collect();
+    cases.push((crafted_graph(base, &hashes, &successors), hash, words));
+
+    for (case, (graph, hash, words)) in cases.into_iter().enumerate() {
+        let mut monitor = HardwareMonitor::new(graph.clone(), hash);
+        let (mut violations, mut max_seen) = (0u64, 0usize);
+        for run in 0..CASES {
+            let start = graph.base() + 4 * rng.gen_range(0..graph.len()) as u32;
+            monitor.begin(start);
+            let mut candidates = vec![start];
+            assert_eq!(monitor.candidate_count(), 1, "case {case} run {run}");
+            for step in 0..64 {
+                let word = if !candidates.is_empty() && rng.gen_bool(0.8) {
+                    let at = candidates[rng.gen_range(0..candidates.len())];
+                    words[((at - graph.base()) / 4) as usize]
+                } else {
+                    rng.next_u32()
+                };
+                let verdict = monitor.observe(0, word);
+                let walked = graph_step(&graph, &candidates, hash.hash(word));
+                let at = format!("case {case} run {run} step {step}");
+                assert_eq!(verdict == Observation::Continue, walked.is_some(), "{at}");
+                let Some(next) = walked else {
+                    violations += 1;
+                    assert_eq!(monitor.candidate_count(), candidates.len(), "{at}");
+                    break;
+                };
+                candidates = next;
+                max_seen = max_seen.max(candidates.len());
+                assert_eq!(monitor.candidate_count(), candidates.len(), "{at}");
+            }
+        }
+        assert_eq!(monitor.stats().violations, violations, "case {case}");
+        assert_eq!(monitor.stats().max_candidates, max_seen, "case {case}");
     }
 }

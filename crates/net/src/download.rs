@@ -23,12 +23,6 @@ pub struct RetryPolicy {
     /// Total transport attempts (probes + chunk fetches) allowed before the
     /// download fails.
     pub max_attempts: u32,
-    /// Backoff after the first consecutive failure; doubles per failure.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Fraction of each backoff randomized (0 = fixed, 1 = full jitter).
-    pub jitter: f64,
     /// Bytes requested per chunk.
     pub chunk_bytes: usize,
 }
@@ -37,15 +31,19 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 24,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-            jitter: 0.5,
             chunk_bytes: 64 * 1024,
         }
     }
 }
 
 impl RetryPolicy {
+    /// Backoff after the first consecutive failure; doubles per failure.
+    pub const BASE_BACKOFF: Duration = Duration::from_millis(50);
+    /// Backoff ceiling.
+    pub const MAX_BACKOFF: Duration = Duration::from_secs(2);
+    /// Fraction of each backoff randomized (0 = fixed, 1 = full jitter).
+    pub const JITTER: f64 = 0.5;
+
     /// Sets the attempt budget (at least 1).
     pub fn with_max_attempts(mut self, attempts: u32) -> RetryPolicy {
         self.max_attempts = attempts.max(1);
@@ -60,19 +58,18 @@ impl RetryPolicy {
 
     /// The bounded-exponential backoff after `consecutive` failures
     /// (1-based), jittered from `rng`.
-    fn backoff<R: RngCore>(&self, consecutive: u32, rng: &mut R) -> Duration {
+    fn backoff<R: RngCore>(consecutive: u32, rng: &mut R) -> Duration {
         if consecutive == 0 {
             return Duration::ZERO;
         }
         let exp = consecutive.saturating_sub(1).min(16);
-        let raw = self
-            .base_backoff
+        let raw = RetryPolicy::BASE_BACKOFF
             .saturating_mul(1u32 << exp)
-            .min(self.max_backoff);
-        // Jittered into [raw * (1 - jitter), raw]: decorrelates concurrent
+            .min(RetryPolicy::MAX_BACKOFF);
+        // Jittered into [raw * (1 - JITTER), raw]: decorrelates concurrent
         // retriers without ever exceeding the bound.
         let u: f64 = rng.gen();
-        raw.mul_f64(1.0 - self.jitter * u)
+        raw.mul_f64(1.0 - RetryPolicy::JITTER * u)
     }
 }
 
@@ -242,7 +239,8 @@ pub enum DownloadError {
     AttemptsExhausted {
         /// The requested path.
         path: String,
-        /// Human-readable description of the last failure.
+        /// Human-readable description of the last failure, or of the spent
+        /// budget when every attempt delivered.
         last: String,
         /// What the download spent before giving up: every attempt,
         /// integrity restart and salvaged byte (`bytes` stays empty).
@@ -377,7 +375,7 @@ impl DownloadClient {
             rng,
             attempts: Vec::new(),
             consecutive: 0,
-            last_failure: String::from("no attempts made"),
+            last_failure: None,
             integrity_restarts: 0,
             resumed_bytes: 0,
         };
@@ -395,7 +393,11 @@ impl DownloadClient {
             Err(Stop::NotFound) => Err(DownloadError::NotFound { path }),
             Err(Stop::Exhausted) => Err(DownloadError::AttemptsExhausted {
                 path,
-                last: t.last_failure,
+                // With no failure logged, every attempt delivered and the
+                // budget itself ended the transfer.
+                last: t.last_failure.unwrap_or_else(|| {
+                    format!("attempt budget of {} spent", self.policy.max_attempts)
+                }),
                 spent: log,
             }),
         }
@@ -423,7 +425,9 @@ struct Transfer<'a, R> {
     attempts: Vec<Attempt>,
     /// Failures since the last delivering attempt (drives the backoff).
     consecutive: u32,
-    last_failure: String,
+    /// The most recent failure, the reason a give-up reports; `None`
+    /// while every attempt has delivered.
+    last_failure: Option<String>,
     integrity_restarts: u32,
     resumed_bytes: usize,
 }
@@ -461,7 +465,7 @@ impl<R: RngCore> Transfer<'_, R> {
             if data.len() >= len {
                 // Assembled but failed the checksum: discard and refetch. A
                 // budget that runs out here gives up on this failure.
-                self.last_failure = give_up.to_owned();
+                self.last_failure = Some(give_up.to_owned());
                 let backoff = self.next_backoff()?;
                 self.log(
                     at,
@@ -501,7 +505,7 @@ impl<R: RngCore> Transfer<'_, R> {
         if self.attempts.len() as u32 >= self.policy.max_attempts {
             return Err(Stop::Exhausted);
         }
-        Ok(self.policy.backoff(self.consecutive, self.rng))
+        Ok(RetryPolicy::backoff(self.consecutive, self.rng))
     }
 
     /// Appends one attempt. A delivering one (`failure` = `None`) ends the
@@ -525,7 +529,7 @@ impl<R: RngCore> Transfer<'_, R> {
             None => self.consecutive = 0,
             Some(why) => {
                 self.consecutive += 1;
-                self.last_failure = why;
+                self.last_failure = Some(why);
             }
         }
     }
@@ -794,19 +798,52 @@ mod tests {
     }
 
     #[test]
+    fn budget_spent_on_delivering_attempts_gives_up_on_the_budget() {
+        // A clean link delivers every attempt, so only the budget can end
+        // these downloads: the probe alone, and the first of two chunks.
+        let link = LossyChannel::clean(Channel::ideal_gigabit());
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut flaky = FlakyServer::new(published(8192), 4);
+        let client = DownloadClient::new(policy().with_max_attempts(1));
+        let whole = client.download(&mut flaky, "pkg", &link, &mut rng);
+        let range = client.download_range(&mut flaky, "pkg", 0, 8192, None, &link, &mut rng);
+        for (result, outcome) in [
+            (whole, AttemptOutcome::Probed),
+            (range, AttemptOutcome::Chunk(4096)),
+        ] {
+            match result.unwrap_err() {
+                DownloadError::AttemptsExhausted { last, spent, .. } => {
+                    assert_eq!(spent.attempts.len(), 1);
+                    assert_eq!(spent.attempts[0].outcome, outcome);
+                    assert_eq!(last, "attempt budget of 1 spent");
+                }
+                other => panic!("expected exhaustion, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn backoff_is_bounded_and_grows() {
-        let p = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
         let mut rng = StdRng::seed_from_u64(1);
-        let b1 = p.backoff(1, &mut rng);
-        let b2 = p.backoff(2, &mut rng);
-        let b3 = p.backoff(3, &mut rng);
-        assert_eq!(b1, p.base_backoff);
-        assert_eq!(b2, p.base_backoff * 2);
-        assert_eq!(b3, p.base_backoff * 4);
-        assert_eq!(p.backoff(40, &mut rng), p.max_backoff, "ceiling respected");
-        assert_eq!(p.backoff(0, &mut rng), Duration::ZERO);
+        assert_eq!(RetryPolicy::backoff(0, &mut rng), Duration::ZERO);
+        for consecutive in 1..=40u32 {
+            // The bound doubles per failure until the cap holds it, from
+            // the seventh failure on.
+            let doubled = RetryPolicy::BASE_BACKOFF * (1 << (consecutive - 1).min(16));
+            let bound = doubled.min(RetryPolicy::MAX_BACKOFF);
+            let floor = bound.mul_f64(1.0 - RetryPolicy::JITTER);
+            let draws: Vec<Duration> = (0..64)
+                .map(|_| RetryPolicy::backoff(consecutive, &mut rng))
+                .collect();
+            for &b in &draws {
+                assert!((floor..=bound).contains(&b), "{consecutive}: {b:?}");
+            }
+            // The jitter spreads the draws over the band.
+            let (lo, hi) = (draws.iter().min().unwrap(), draws.iter().max().unwrap());
+            assert!(
+                *hi - *lo > (bound - floor) / 2,
+                "{consecutive}: {lo:?}..{hi:?}"
+            );
+        }
     }
 }

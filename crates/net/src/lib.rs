@@ -5,7 +5,7 @@
 //! processor downloads installation packages from the network operator's
 //! FTP server. This crate models both sides:
 //!
-//! * [`packet`] — IPv4/UDP header construction and parsing with checksums
+//! * [`packet`] — IPv4 header construction and parsing with checksums
 //! * [`traffic`] — seeded workload generation: closed-loop flows of valid
 //!   packets with configurable malformed-packet rates
 //!   ([`traffic::TrafficGenerator`]) and an open-loop arrival process with
@@ -15,9 +15,8 @@
 //!   [`channel::FileServer`], reproducing the "download data from FTP
 //!   server" row of the paper's Table 2
 //! * [`resilience`] — seeded transport-fault injection: a
-//!   [`resilience::LossyChannel`] link model (loss, corruption, stalls,
-//!   Gilbert–Elliott correlated burst loss) and a
-//!   [`resilience::FlakyServer`] wrapper with outage windows and
+//!   [`resilience::LossyChannel`] link model (loss, corruption, stalls)
+//!   and a [`resilience::FlakyServer`] wrapper with outage windows and
 //!   blackholed paths
 //! * [`download`] — a retrying [`download::DownloadClient`] with bounded
 //!   exponential backoff + jitter, chunked resumable transfer, and an

@@ -1,4 +1,4 @@
-//! IPv4 and UDP packet construction and parsing.
+//! IPv4 packet construction and parsing.
 //!
 //! The byte layout matches what the NP workloads of
 //! `sdmmon-npu::programs` parse in assembly, so packets built here can be
@@ -260,18 +260,6 @@ impl Ipv4PacketBuilder {
     }
 }
 
-/// Builds a UDP datagram (header + payload) to ride inside an IPv4 payload.
-/// The UDP checksum is set to 0 ("not computed"), which is legal for IPv4.
-pub fn udp_datagram(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&src_port.to_be_bytes());
-    out.extend_from_slice(&dst_port.to_be_bytes());
-    out.extend_from_slice(&((8 + payload.len()) as u16).to_be_bytes());
-    out.extend_from_slice(&[0, 0]);
-    out.extend_from_slice(payload);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,15 +334,6 @@ mod tests {
             0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7,
         ];
         assert_eq!(ones_complement_checksum(&header), 0xb861);
-    }
-
-    #[test]
-    fn udp_datagram_layout() {
-        let d = udp_datagram(5000, 53, b"query");
-        assert_eq!(&d[..2], &5000u16.to_be_bytes());
-        assert_eq!(&d[2..4], &53u16.to_be_bytes());
-        assert_eq!(u16::from_be_bytes([d[4], d[5]]), 13);
-        assert_eq!(&d[8..], b"query");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! 1. **outage** — the server is down for a window of attempt numbers
 //!    (connection refused; costs one round trip);
 //! 2. **blackhole** — the path is permanently unreachable (models a dead
-//!    router-side link; the attempt stalls to the link's timeout);
-//! 3. **stall** — the connection hangs until the client's timeout;
+//!    router-side link; the attempt stalls to the timeout);
+//! 3. **stall** — the connection hangs until the fixed
+//!    [`LossyChannel::STALL_TIMEOUT`];
 //! 4. **loss** — the connection drops partway; a prefix of the chunk is
 //!    delivered and the client may resume from the received offset;
 //! 5. **corruption** — the chunk arrives complete but with flipped bytes,
@@ -28,7 +29,7 @@
 //! expensive crypto runs — see `docs/RESILIENCE.md`.
 
 use crate::channel::{Channel, FileServer};
-use sdmmon_rng::{Rng, RngCore, SeedableRng, StdRng};
+use sdmmon_rng::{Rng, SeedableRng, StdRng};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
@@ -48,126 +49,25 @@ pub fn transport_checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Parameters of a two-state Markov (Gilbert–Elliott) loss process: the
-/// link alternates between a *good* state with rare losses and a *bad*
-/// state with frequent ones, so losses arrive in correlated bursts instead
-/// of independently — the failure shape real radio and congested links
-/// exhibit, and the one retry logic tuned on i.i.d. loss underestimates.
-///
-/// Expected run lengths are geometric: `1 / p_good_to_bad` slots in good,
-/// `1 / p_bad_to_good` in bad; the stationary bad fraction is
-/// `p_good_to_bad / (p_good_to_bad + p_bad_to_good)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstLoss {
-    /// Per-slot probability of leaving the good state.
-    pub p_good_to_bad: f64,
-    /// Per-slot probability of leaving the bad state.
-    pub p_bad_to_good: f64,
-    /// Loss probability while good.
-    pub good_loss: f64,
-    /// Loss probability while bad.
-    pub bad_loss: f64,
-}
-
-impl BurstLoss {
-    /// Creates the parameter set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is not a probability in `[0, 1]`.
-    pub fn new(p_good_to_bad: f64, p_bad_to_good: f64, good_loss: f64, bad_loss: f64) -> BurstLoss {
-        for (name, p) in [
-            ("p_good_to_bad", p_good_to_bad),
-            ("p_bad_to_good", p_bad_to_good),
-            ("good_loss", good_loss),
-            ("bad_loss", bad_loss),
-        ] {
-            assert!((0.0..=1.0).contains(&p), "{name} must be a probability");
-        }
-        BurstLoss {
-            p_good_to_bad,
-            p_bad_to_good,
-            good_loss,
-            bad_loss,
-        }
-    }
-
-    /// Advances the chain one slot and samples that slot's loss: first the
-    /// state transition, then a loss draw at the (possibly new) state's
-    /// probability. `bad` is the caller-held channel state.
-    pub fn step<R: RngCore>(&self, bad: &mut bool, rng: &mut R) -> bool {
-        let flip = if *bad {
-            self.p_bad_to_good
-        } else {
-            self.p_good_to_bad
-        };
-        if rng.gen_bool(flip) {
-            *bad = !*bad;
-        }
-        rng.gen_bool(if *bad { self.bad_loss } else { self.good_loss })
-    }
-}
-
-/// A self-contained seeded Gilbert–Elliott process — [`BurstLoss`] bundled
-/// with its state and generator, for run-length analysis and for callers
-/// outside [`FlakyServer`] (which keeps the state inline so all its faults
-/// stay on one seed stream).
-///
-/// # Examples
-///
-/// ```
-/// use sdmmon_net::resilience::{BurstLoss, GilbertElliott};
-///
-/// let mut ge = GilbertElliott::new(BurstLoss::new(0.05, 0.5, 0.0, 1.0), 7);
-/// let losses: Vec<bool> = (0..100).map(|_| ge.step()).collect();
-/// let mut again = GilbertElliott::new(BurstLoss::new(0.05, 0.5, 0.0, 1.0), 7);
-/// assert!((0..100).map(|_| again.step()).eq(losses.into_iter()));
-/// ```
-#[derive(Debug, Clone)]
-pub struct GilbertElliott {
-    params: BurstLoss,
-    bad: bool,
-    rng: StdRng,
-}
-
-impl GilbertElliott {
-    /// Creates the process in the good state.
-    pub fn new(params: BurstLoss, seed: u64) -> GilbertElliott {
-        GilbertElliott {
-            params,
-            bad: false,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Advances one slot; true means that slot's packet is lost.
-    pub fn step(&mut self) -> bool {
-        self.params.step(&mut self.bad, &mut self.rng)
-    }
-}
-
 /// A [`Channel`] with seeded link-level fault probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossyChannel {
     /// The underlying clean latency/throughput model.
     pub channel: Channel,
     /// Probability that a chunk transfer drops partway (short read; the
-    /// delivered prefix is kept and the client may resume). Ignored when
-    /// [`LossyChannel::burst_loss`] is set.
+    /// delivered prefix is kept and the client may resume).
     pub loss: f64,
     /// Probability that a delivered chunk carries flipped bytes.
     pub corrupt: f64,
-    /// Probability that an attempt stalls until [`LossyChannel::stall_timeout`].
+    /// Probability that an attempt stalls until [`LossyChannel::STALL_TIMEOUT`].
     pub stall: f64,
-    /// Modelled time a stalled attempt wastes before the client gives up.
-    pub stall_timeout: Duration,
-    /// Correlated burst-loss mode: when set, chunk losses come from a
-    /// Gilbert–Elliott chain (state held by the [`FlakyServer`]) instead of
-    /// the independent [`LossyChannel::loss`] draw.
-    pub burst_loss: Option<BurstLoss>,
 }
 
 impl LossyChannel {
+    /// Modelled time a stalled or blackholed attempt wastes before the
+    /// client gives up on it.
+    pub const STALL_TIMEOUT: Duration = Duration::from_millis(500);
+
     /// A fault-free wrapper around `channel` (all probabilities zero).
     pub fn clean(channel: Channel) -> LossyChannel {
         LossyChannel {
@@ -175,8 +75,6 @@ impl LossyChannel {
             loss: 0.0,
             corrupt: 0.0,
             stall: 0.0,
-            stall_timeout: Duration::from_millis(500),
-            burst_loss: None,
         }
     }
 
@@ -195,12 +93,6 @@ impl LossyChannel {
     /// Sets the stall probability.
     pub fn with_stall(mut self, stall: f64) -> LossyChannel {
         self.stall = stall;
-        self
-    }
-
-    /// Switches chunk loss to correlated Gilbert–Elliott bursts.
-    pub fn with_burst_loss(mut self, params: BurstLoss) -> LossyChannel {
-        self.burst_loss = Some(params);
         self
     }
 }
@@ -306,9 +198,6 @@ pub struct FlakyStats {
     pub losses: u64,
     /// Chunks delivered with corrupted bytes.
     pub corruptions: u64,
-    /// Chunk attempts served while the Gilbert–Elliott chain sat in the
-    /// bad state (zero unless a link uses [`LossyChannel::burst_loss`]).
-    pub bad_state_slots: u64,
 }
 
 /// A [`FileServer`] behind a faulty transport: seeded packet loss, byte
@@ -340,9 +229,6 @@ pub struct FlakyServer {
     rng: StdRng,
     outages: Vec<OutageWindow>,
     blackholes: BTreeSet<String>,
-    /// Gilbert–Elliott channel state shared by every burst-loss link the
-    /// server serves (one physical channel). Starts good.
-    ge_bad: bool,
     stats: FlakyStats,
 }
 
@@ -354,7 +240,6 @@ impl FlakyServer {
             rng: StdRng::seed_from_u64(seed),
             outages: Vec::new(),
             blackholes: BTreeSet::new(),
-            ge_bad: false,
             stats: FlakyStats::default(),
         }
     }
@@ -406,13 +291,13 @@ impl FlakyServer {
         if self.blackholes.contains(path) {
             self.stats.blackholed += 1;
             return Err(TransportError::Timeout {
-                wasted: link.stall_timeout,
+                wasted: LossyChannel::STALL_TIMEOUT,
             });
         }
         if link.stall > 0.0 && self.rng.gen_bool(link.stall) {
             self.stats.stalls += 1;
             return Err(TransportError::Timeout {
-                wasted: link.stall_timeout,
+                wasted: LossyChannel::STALL_TIMEOUT,
             });
         }
         Ok(())
@@ -472,19 +357,7 @@ impl FlakyServer {
                 wasted: link.channel.latency * 2,
             })?;
         let mut complete = true;
-        let lost = if bytes.is_empty() {
-            false
-        } else if let Some(burst) = link.burst_loss {
-            // Correlated burst loss: one Markov slot per chunk attempt.
-            let lost = burst.step(&mut self.ge_bad, &mut self.rng);
-            if self.ge_bad {
-                self.stats.bad_state_slots += 1;
-            }
-            lost
-        } else {
-            link.loss > 0.0 && self.rng.gen_bool(link.loss)
-        };
-        if lost {
+        if !bytes.is_empty() && link.loss > 0.0 && self.rng.gen_bool(link.loss) {
             // The connection drops partway: keep a strict prefix.
             let keep = self.rng.gen_range(0..bytes.len());
             bytes.truncate(keep);
@@ -563,7 +436,7 @@ mod tests {
         for _ in 0..5 {
             match flaky.fetch_chunk("a", 0, 4, &link) {
                 Err(TransportError::Timeout { wasted }) => {
-                    assert_eq!(wasted, link.stall_timeout);
+                    assert_eq!(wasted, LossyChannel::STALL_TIMEOUT);
                 }
                 other => panic!("expected timeout, got {other:?}"),
             }
@@ -628,101 +501,5 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn gilbert_elliott_run_lengths_match_the_chain() {
-        // good_loss = 0, bad_loss = 1: every loss run *is* a bad-state
-        // visit, so run statistics read the chain directly. Expected mean
-        // bad-run length 1 / 0.5 = 2, stationary bad fraction
-        // 0.05 / 0.55 ~ 0.0909.
-        let mut ge = GilbertElliott::new(BurstLoss::new(0.05, 0.5, 0.0, 1.0), 0x6E11);
-        const SLOTS: usize = 50_000;
-        let losses: Vec<bool> = (0..SLOTS).map(|_| ge.step()).collect();
-        let mut runs = Vec::new();
-        let mut current = 0u64;
-        for &lost in &losses {
-            if lost {
-                current += 1;
-            } else if current > 0 {
-                runs.push(current);
-                current = 0;
-            }
-        }
-        if current > 0 {
-            runs.push(current);
-        }
-        assert!(runs.len() > 1000, "only {} loss runs", runs.len());
-        let mean = runs.iter().sum::<u64>() as f64 / runs.len() as f64;
-        assert!(
-            (1.8..2.2).contains(&mean),
-            "mean bad-run length {mean:.3}, expected ~2"
-        );
-        let bad_fraction = losses.iter().filter(|&&l| l).count() as f64 / SLOTS as f64;
-        assert!(
-            (0.075..0.105).contains(&bad_fraction),
-            "bad fraction {bad_fraction:.4}, expected ~0.0909"
-        );
-    }
-
-    #[test]
-    fn gilbert_elliott_losses_are_correlated_not_independent() {
-        let mut ge = GilbertElliott::new(BurstLoss::new(0.02, 0.4, 0.005, 0.9), 0xC0A1);
-        const SLOTS: usize = 50_000;
-        let losses: Vec<bool> = (0..SLOTS).map(|_| ge.step()).collect();
-        let marginal = losses.iter().filter(|&&l| l).count() as f64 / SLOTS as f64;
-        let after_loss = losses.windows(2).filter(|w| w[0]).collect::<Vec<_>>();
-        let conditional =
-            after_loss.iter().filter(|w| w[1]).count() as f64 / after_loss.len() as f64;
-        // A loss slot means the chain is (very likely) bad and stays bad
-        // with probability 0.6 — far above the marginal loss rate. An
-        // independent-loss channel would have conditional ~ marginal.
-        assert!(
-            conditional > 3.0 * marginal,
-            "conditional {conditional:.3} vs marginal {marginal:.3}: no burst correlation"
-        );
-    }
-
-    #[test]
-    fn gilbert_elliott_replays_per_seed() {
-        let params = BurstLoss::new(0.1, 0.3, 0.01, 0.8);
-        let run = |seed: u64| {
-            let mut ge = GilbertElliott::new(params, seed);
-            (0..500).map(|_| ge.step()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(3), run(3));
-        assert_ne!(run(3), run(4));
-    }
-
-    #[test]
-    fn burst_loss_channel_clusters_flaky_server_losses() {
-        let run = |seed: u64| {
-            let mut flaky = FlakyServer::new(server_with("a", 4096), seed);
-            let link = clean_link().with_burst_loss(BurstLoss::new(0.08, 0.4, 0.0, 0.95));
-            let mut complete_flags = Vec::new();
-            for _ in 0..400 {
-                let c = flaky.fetch_chunk("a", 0, 64, &link).unwrap();
-                complete_flags.push(c.complete);
-            }
-            (complete_flags, flaky.stats())
-        };
-        let (flags, stats) = run(0x6E22);
-        assert!(stats.losses > 0, "burst channel never lost a chunk");
-        assert!(stats.bad_state_slots > 0, "chain never went bad");
-        // Losses cluster: the loss runs are far fewer than the losses.
-        let losses = flags.iter().filter(|&&c| !c).count();
-        let runs = flags.windows(2).filter(|w| w[0] && !w[1]).count() + usize::from(!flags[0]);
-        assert!(
-            runs * 2 <= losses,
-            "{losses} losses in {runs} runs: not bursty"
-        );
-        // And the whole fault pattern replays from the seed.
-        assert_eq!(run(0x6E22), run(0x6E22));
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn burst_loss_rejects_out_of_range_probabilities() {
-        BurstLoss::new(1.5, 0.5, 0.0, 1.0);
     }
 }

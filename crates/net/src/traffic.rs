@@ -74,7 +74,6 @@ impl Default for TrafficConfig {
 pub struct TrafficGenerator {
     config: TrafficConfig,
     rng: StdRng,
-    emitted: u64,
 }
 
 impl TrafficGenerator {
@@ -98,21 +97,11 @@ impl TrafficGenerator {
             "malformed rate must be a probability"
         );
         let rng = StdRng::seed_from_u64(config.seed);
-        TrafficGenerator {
-            config,
-            rng,
-            emitted: 0,
-        }
-    }
-
-    /// Number of packets emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
+        TrafficGenerator { config, rng }
     }
 
     /// Produces the next packet and its kind.
     pub fn next_packet(&mut self) -> (Vec<u8>, PacketKind) {
-        self.emitted += 1;
         let malformed = self.rng.gen_bool(self.config.malformed_rate);
         let (lo, hi) = self.config.payload_range;
         let len = self.rng.gen_range(lo..=hi);
@@ -143,7 +132,6 @@ impl TrafficGenerator {
         dst: [u8; 4],
         l4: [u8; 4],
     ) -> (Vec<u8>, PacketKind) {
-        self.emitted += 1;
         let malformed = self.rng.gen_bool(self.config.malformed_rate);
         let (lo, hi) = self.config.payload_range;
         let len = self.rng.gen_range(lo..=hi).max(4);

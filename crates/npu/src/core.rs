@@ -53,11 +53,11 @@ pub struct Core {
     /// Load address / entry point of the installed image.
     entry: u32,
     /// Pre-decoded text segment, built once at install from the pristine
-    /// image and restored on reset; `None` until a program is installed.
-    pristine_dcache: Option<DecodeCache>,
+    /// image and restored on reset; empty until a program is installed.
+    pristine_dcache: DecodeCache,
     /// Working decode cache; diverges from pristine when the running
     /// program writes into its own text.
-    dcache: Option<DecodeCache>,
+    dcache: DecodeCache,
     step_limit: u64,
     /// Number of resets performed (for the recovery statistics).
     resets: u64,
@@ -72,13 +72,15 @@ impl Default for Core {
 impl Core {
     /// Creates a core with empty memory and no installed program.
     pub fn new() -> Core {
+        let mem = Memory::new(MEM_SIZE);
+        let empty = DecodeCache::build(&mem, 0, 0);
         Core {
             cpu: Cpu::new(),
-            mem: Memory::new(MEM_SIZE),
+            mem,
             image: Vec::new(),
             entry: 0,
-            pristine_dcache: None,
-            dcache: None,
+            pristine_dcache: empty.clone(),
+            dcache: empty,
             step_limit: DEFAULT_STEP_LIMIT,
             resets: 0,
         }
@@ -103,13 +105,11 @@ impl Core {
         );
         self.image = image.to_vec();
         self.entry = base;
-        self.pristine_dcache = None;
         self.reset();
         // Decode the text segment once; every packet run reuses the
         // pre-decoded form (restored from this pristine copy on reset).
-        let cache = DecodeCache::build(&self.mem, base, image.len() as u32);
-        self.dcache = Some(cache.clone());
-        self.pristine_dcache = Some(cache);
+        self.pristine_dcache = DecodeCache::build(&self.mem, base, image.len() as u32);
+        self.dcache.clone_from(&self.pristine_dcache);
     }
 
     /// Returns true once a program is installed.
@@ -159,9 +159,7 @@ impl Core {
     /// The caller may write anywhere — including into the program text — so
     /// the pre-decoded instruction cache is conservatively flushed.
     pub fn memory_mut(&mut self) -> &mut Memory {
-        if let Some(cache) = self.dcache.as_mut() {
-            cache.invalidate_all();
-        }
+        self.dcache.invalidate_all();
         &mut self.mem
     }
 
@@ -187,18 +185,15 @@ impl Core {
         self.stage_packet(packet);
         observer.begin(self.entry);
 
-        // Resolve the decode-cache `Option` once: the per-iteration `match`
-        // (and the re-borrow of `self` it forces) otherwise sits on the hot
-        // path of every retired instruction.
         let mut steps = 0u64;
-        let step_limit = self.step_limit;
-        let (cpu, mem) = (&mut self.cpu, &mut self.mem);
-        let halt = match self.dcache.as_mut() {
-            Some(cache) => run_loop(cpu, mem, observer, step_limit, &mut steps, |c, m| {
-                c.step_cached(m, cache)
-            }),
-            None => run_loop(cpu, mem, observer, step_limit, &mut steps, Cpu::step),
-        };
+        let halt = run_loop(
+            &mut self.cpu,
+            &mut self.mem,
+            &mut self.dcache,
+            observer,
+            self.step_limit,
+            &mut steps,
+        );
         self.outcome(halt, steps)
     }
 
@@ -229,14 +224,14 @@ impl Core {
         observer.begin(self.entry);
 
         let mut steps = 0u64;
-        let step_limit = self.step_limit;
-        let (cpu, mem) = (&mut self.cpu, &mut self.mem);
-        let halt = match self.dcache.as_mut() {
-            Some(cache) => block_loop(cpu, mem, observer, step_limit, &mut steps, |c, m| {
-                c.step_cached(m, cache)
-            }),
-            None => block_loop(cpu, mem, observer, step_limit, &mut steps, Cpu::step),
-        };
+        let halt = block_loop(
+            &mut self.cpu,
+            &mut self.mem,
+            &mut self.dcache,
+            observer,
+            self.step_limit,
+            &mut steps,
+        );
         self.outcome(halt, steps)
     }
 
@@ -285,24 +280,23 @@ fn oversized_outcome() -> PacketOutcome {
     }
 }
 
-/// The interpret–observe loop of [`Core::process_packet`], monomorphized
-/// per fetch path (`step` closures capture the decode cache, if any).
-/// Inlined into each caller so the observer's fast path and the step
-/// dispatch fold into one loop body.
+/// The interpret–observe loop of [`Core::process_packet`]. Inlined into
+/// its caller so the observer's fast path and the step dispatch fold into
+/// one loop body.
 #[inline(always)]
 fn run_loop<O: ExecutionObserver + ?Sized>(
     cpu: &mut Cpu,
-    mem: &mut crate::mem::Memory,
+    mem: &mut Memory,
+    cache: &mut DecodeCache,
     observer: &mut O,
     step_limit: u64,
     steps: &mut u64,
-    mut step: impl FnMut(&mut Cpu, &mut crate::mem::Memory) -> Result<crate::cpu::Retired, Trap>,
 ) -> HaltReason {
     loop {
         if *steps >= step_limit {
             return HaltReason::StepLimit;
         }
-        match step(cpu, mem) {
+        match cpu.step_cached(mem, cache) {
             Ok(retired) => {
                 *steps += 1;
                 if observer.observe(retired.pc, retired.word) == Observation::Violation {
@@ -330,16 +324,15 @@ fn run_loop<O: ExecutionObserver + ?Sized>(
 
 /// The interpret–buffer–verify loop of [`Core::process_packet_blocks`]:
 /// retire up to [`RETIRE_BLOCK`] instructions, then verify the whole
-/// buffer in one observer call. Monomorphized per fetch path like
-/// [`run_loop`].
+/// buffer in one observer call. Inlined like [`run_loop`].
 #[inline(always)]
 fn block_loop<O: BlockObserver + ?Sized>(
     cpu: &mut Cpu,
-    mem: &mut crate::mem::Memory,
+    mem: &mut Memory,
+    cache: &mut DecodeCache,
     observer: &mut O,
     step_limit: u64,
     steps: &mut u64,
-    mut step: impl FnMut(&mut Cpu, &mut crate::mem::Memory) -> Result<crate::cpu::Retired, Trap>,
 ) -> HaltReason {
     let mut buf = [0u32; RETIRE_BLOCK];
     loop {
@@ -351,7 +344,7 @@ fn block_loop<O: BlockObserver + ?Sized>(
                 pending = Some(HaltReason::StepLimit);
                 break;
             }
-            match step(cpu, mem) {
+            match cpu.step_cached(mem, cache) {
                 Ok(retired) => {
                     *steps += 1;
                     buf[fill] = retired.word;

@@ -166,8 +166,9 @@ struct Slot {
     /// identical at every shard count.
     forensics: VecDeque<ForensicEntry>,
     /// Flight recorder: recent *unsampled* packet records, capacity
-    /// [`TraceContext::flight_window`]. Same single-owner discipline as
-    /// `forensics`, so promotions replay identically at every shard count.
+    /// [`TraceContext::DEFAULT_FLIGHT_WINDOW`]. Same single-owner
+    /// discipline as `forensics`, so promotions replay identically at
+    /// every shard count.
     flight: VecDeque<FlightRecord>,
 }
 
@@ -365,8 +366,8 @@ impl Slot {
                     .field("blocks", outcome.steps / RETIRE_BLOCK as u64)
                     .field("halt", halt),
             );
-        } else if tc.flight_window > 0 {
-            while self.flight.len() >= tc.flight_window {
+        } else {
+            while self.flight.len() >= TraceContext::DEFAULT_FLIGHT_WINDOW {
                 self.flight.pop_front();
             }
             self.flight.push_back(FlightRecord {

@@ -31,11 +31,9 @@
 //! nothing), which is why it carries its own minimal JSON rendering
 //! instead of reusing the testkit's report builder.
 //!
-//! Per-retired-instruction recording in the fused monitor loop is gated
-//! behind the `obs-hot` cargo feature of `sdmmon-monitor` and compiles to
-//! a no-op sink by default; everything in this crate records at packet or
-//! coarser granularity. The default observability level is therefore
-//! *events off* (no bus attached), *metrics on*.
+//! Nothing records per retired instruction: everything in this crate
+//! records at packet or coarser granularity. The default observability
+//! level is *events off* (no bus attached), *metrics on*.
 
 mod event;
 mod json;

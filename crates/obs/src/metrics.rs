@@ -90,7 +90,7 @@ metric_enum! {
         /// Packets settled by a network processor (all dispatch paths).
         NpPackets => "np_packets",
         /// Retired instructions summed per packet at settle (no
-        /// per-instruction atomics; see the `obs-hot` monitor feature).
+        /// per-instruction atomics).
         NpInstructionsRetired => "np_instructions_retired",
         /// Monitor-stopped runs (detections).
         NpViolations => "np_violations",
@@ -104,10 +104,6 @@ metric_enum! {
         NpQuarantines => "np_quarantines",
         /// Batches dispatched through the sharded engine.
         NpBatches => "np_batches",
-        /// Retired instructions counted one-by-one in the fused monitor
-        /// loop — only ever nonzero with the `obs-hot` feature of
-        /// `sdmmon-monitor`; the default build is a no-op sink.
-        MonitorHotInstructions => "monitor_hot_instructions",
         /// Full 16-lane retirement blocks verified through the monitor's
         /// bit-sliced hash path (settled once per packet).
         MonitorBlocksVerified => "monitor_blocks_verified",
@@ -658,8 +654,8 @@ mod tests {
 
     #[test]
     fn global_registry_is_shared() {
-        let before = metrics().counter(Counter::MonitorHotInstructions);
-        metrics().inc(Counter::MonitorHotInstructions);
-        assert!(metrics().counter(Counter::MonitorHotInstructions) > before);
+        let before = metrics().counter(Counter::NpBatches);
+        metrics().inc(Counter::NpBatches);
+        assert!(metrics().counter(Counter::NpBatches) > before);
     }
 }

@@ -99,22 +99,19 @@ pub struct TraceContext {
     pub seed: u64,
     /// Per-mille sampling rate in `[0, 1000]`; 1000 traces every flow.
     pub per_mille: u16,
-    /// Flight-recorder depth per core (recent packet records retained
-    /// for retroactive promotion). Zero disables the recorder.
-    pub flight_window: usize,
 }
 
 impl TraceContext {
-    /// Default flight-recorder depth.
+    /// Flight-recorder depth per core: the recent unsampled packet records
+    /// kept for retroactive promotion.
     pub const DEFAULT_FLIGHT_WINDOW: usize = 32;
 
-    /// A context sampling `per_mille`‰ of flows with the default flight
-    /// window. `per_mille` is clamped to 1000.
+    /// A context sampling `per_mille`‰ of flows. `per_mille` is clamped
+    /// to 1000.
     pub fn new(seed: u64, per_mille: u16) -> TraceContext {
         TraceContext {
             seed,
             per_mille: per_mille.min(1000),
-            flight_window: TraceContext::DEFAULT_FLIGHT_WINDOW,
         }
     }
 

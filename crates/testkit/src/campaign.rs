@@ -127,16 +127,6 @@ impl Tally {
     pub fn is_accounted(&self) -> bool {
         self.attempted == self.detected + self.faulted + self.rejected + self.clean + self.escaped
     }
-
-    /// Folds another tally into this one.
-    pub fn absorb(&mut self, other: Tally) {
-        self.attempted += other.attempted;
-        self.detected += other.detected;
-        self.faulted += other.faulted;
-        self.rejected += other.rejected;
-        self.clean += other.clean;
-        self.escaped += other.escaped;
-    }
 }
 
 /// Detection latency in *retired instructions* (never wall-clock, so the

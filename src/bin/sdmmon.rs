@@ -102,7 +102,7 @@ fn main() -> ExitCode {
         Some("trace") => cmd_trace(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
-            eprint!("{USAGE}");
+            write_stderr(format_args!("{USAGE}"));
             return ExitCode::from(u8::from(args.is_empty()));
         }
         Some(other) => Err(CliError::Usage(format!("unknown command `{other}`"))),
@@ -112,12 +112,11 @@ fn main() -> ExitCode {
         // the output it wanted: that is a success, not an error.
         Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n");
-            eprint!("{USAGE}");
+            write_stderr(format_args!("error: {msg}\n\n{USAGE}"));
             ExitCode::from(1)
         }
         Err(CliError::Processing(msg)) => {
-            eprintln!("error: {msg}");
+            write_stderr(format_args!("error: {msg}\n"));
             ExitCode::from(2)
         }
     }
@@ -177,6 +176,13 @@ macro_rules! emitln {
     ($($arg:tt)*) => {
         emit!("{}\n", format_args!($($arg)*))
     };
+}
+
+/// Writes formatted text to stderr, like `eprint!`, but never panics:
+/// once stderr's reader has gone there is nowhere left to report to, and
+/// the exit code still says how the command ended.
+fn write_stderr(text: std::fmt::Arguments<'_>) {
+    let _ = std::io::Write::write_fmt(&mut std::io::stderr(), text);
 }
 
 /// Maps a failed stdout write: a broken pipe to [`CliError::Closed`],
@@ -1365,10 +1371,10 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     let flight_traces = traces.iter().filter(|t| !t.sampled).count();
     let span_count: usize = traces.iter().map(|t| t.spans.len()).sum();
 
+    let window = TraceContext::DEFAULT_FLIGHT_WINDOW;
     emitln!(
         "seed {seed}: {round_count} rounds, {CORES} cores, sample {sample}\u{2030}, \
-         flight window {}",
-        tc.flight_window
+         flight window {window}"
     )?;
     emitln!(
         "stream: offered {} / admitted {} (no drops by construction), fleet {}/{} installed",
@@ -1393,7 +1399,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     json.push_str(&format!("  \"cores\": {CORES},\n"));
     json.push_str(&format!("  \"rounds\": {round_count},\n"));
     json.push_str(&format!("  \"sample_per_mille\": {sample},\n"));
-    json.push_str(&format!("  \"flight_window\": {},\n", tc.flight_window));
+    json.push_str(&format!("  \"flight_window\": {window},\n"));
     json.push_str(&format!("  \"offered\": {},\n", report.offered));
     json.push_str(&format!("  \"admitted\": {},\n", report.admitted));
     json.push_str(&format!("  \"fleet_routers\": {},\n", fleet_cfg.routers));

@@ -14,7 +14,7 @@
 //! | [`fpga`] | `sdmmon-fpga` | FPGA resource estimation (Tables 1 and 3) |
 //! | [`core`] | `sdmmon-core` | the SDMMon protocol: entities, packages, timing, fleets |
 //! | [`testkit`] | `sdmmon-testkit` | deterministic fault injection + adversarial campaigns |
-//! | [`bench`] | `sdmmon-bench` | benchmark scenarios (incl. the sharded-engine sweep) |
+//! | [`bench`](mod@bench) | `sdmmon-bench` | benchmark scenarios (incl. the sharded-engine sweep) |
 //! | [`obs`] | `sdmmon-obs` | structured event bus + metrics registry (deterministic observability) |
 //!
 //! # Examples

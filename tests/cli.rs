@@ -438,3 +438,27 @@ fn output_into_a_closed_pipe_ends_quietly() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn errors_into_a_closed_stderr_keep_their_exit_codes() {
+    use std::process::Stdio;
+    let src = write_temp("closed-stderr.s", TINY);
+    let src = src.to_str().expect("utf-8 temp path");
+    for (args, code) in [
+        (&["run", src, "--packet", "450"][..], 1),
+        (&[], 1),
+        (&["run", "/nonexistent/x.s", "--packet", "45"], 2),
+    ] {
+        // Stderr's reader is gone before the child writes a byte, as in
+        // `sdmmon … 2>&1 | true`.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = sdmmon()
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("spawn");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
+}
