@@ -1,13 +1,11 @@
 #!/bin/sh
-# Repo gate: formatting, lints, warning-free rustdoc, full test suite, a quick perf smoke run
-# (quick mode writes target/BENCH_PR10.quick.json; the committed
-# BENCH_PR10.json comes from a full release run of the same binary), the
-# sharded-engine throughput gate (with and without metrics recording),
-# the bit-sliced hash gate (SWAR block path >= 4x scalar on the headline
-# compression), the streaming-ingest gate (byte-identical
-# sdmmon-stream-v1 replay + backpressure accounting), the trace gate
-# (byte-identical sdmmon-trace-v1 replay across runs and shard counts +
-# the <=5% sampled-tracing overhead assertion),
+# Repo gate: formatting, lints, warning-free rustdoc, full test suite, the
+# performance gates of one `sdmmon bench --quick` run with metrics on
+# (sharded engine >= serial, bit-sliced sip hash >= 4x scalar, sampled
+# tracing <= 5% of admitted pps; exit 2 naming each gate that failed),
+# the streaming-ingest gate (byte-identical sdmmon-stream-v1 replay +
+# backpressure accounting), the trace gate (byte-identical
+# sdmmon-trace-v1 replay across runs and shard counts + span chains),
 # a bounded adversarial campaign (accounting + differential assertions,
 # deterministic per seed), an events-schema smoke (byte-identical
 # sdmmon-events-v1 replay), the v1-vs-v2 install differential, the
@@ -37,25 +35,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
 cargo test -q --workspace --release
-cargo run --release -p sdmmon-bench --bin perf_report -- --quick
 
-# Sharded-engine regression gate: the bounded quick sweep must not fall
-# below the serial baseline (exit 2 if it does — the PR 1 spawn-per-batch
-# slowdown was exactly that).
-cargo run --release --bin sdmmon -- bench --quick
-
-# The same gate with metrics recording enabled (the default observability
-# level): atomic counters on the batch path must not push the sharded
-# engine below serial, and the snapshot must carry its schema.
+# Performance gates, all in one run with metrics recording on (the
+# default observability level), exit 2 naming each gate that failed:
+# - the sharded batch engine must not fall below serial reference
+#   dispatch (the old spawn-per-batch slowdown was exactly that), with
+#   atomic counters on the batch path;
+# - the SWAR block path must stay at least 4x the scalar loop on the
+#   headline compression (sip, the one whose scalar tree the compiler
+#   cannot collapse);
+# - sampled tracing (64 per mille) must cost at most 5% of admitted
+#   streaming throughput.
+# Every timed run asserts its outputs identical to the oracle (the
+# serial engine, the scalar hash, the untraced stream), and the snapshot
+# must carry its schema.
 cargo run --release --bin sdmmon -- bench --quick --metrics target/ci-bench-metrics.json
 grep -q '"schema": "sdmmon-metrics-v1"' target/ci-bench-metrics.json
-
-# Bit-sliced hash gate: the SWAR block path must stay at least 4x the
-# scalar loop on the headline compression (sip — the one whose scalar
-# tree the compiler cannot collapse), and the block path's outputs must
-# stay byte-identical to the scalar oracle (asserted inside the bench;
-# exit 2 on a regression).
-cargo run --release --bin sdmmon -- bench --quick --hash
 
 # Streaming-ingest gate: the open-loop stream at the pinned seed must
 # replay byte-identically (the sdmmon-stream-v1 determinism contract,
@@ -83,10 +78,8 @@ PYEOF
 # Trace gate: the sdmmon-trace-v1 artifact at the pinned seed must replay
 # byte-identically — across two runs AND across shard counts (the trace is
 # a pure function of seed x flow, so sharding may not leak into it) — and
-# every trace must chain parent links back to a root span. The quick
-# perf run above already asserted the <=5% sampled-tracing overhead gate
-# (perf_report exits nonzero past it); re-assert it from the JSON here so
-# the gate survives even if the binary's assert is ever refactored away.
+# every trace must chain parent links back to a root span. The tracing
+# overhead gate is the bench step's.
 cargo run --release --bin sdmmon -- trace --quick --out target/ci-trace-a.json
 cargo run --release --bin sdmmon -- trace --quick --out target/ci-trace-b.json
 cmp target/ci-trace-a.json target/ci-trace-b.json
@@ -95,7 +88,7 @@ for shards in 1 2 8; do
         --out "target/ci-trace-s$shards.json"
     cmp target/ci-trace-a.json "target/ci-trace-s$shards.json"
 done
-python3 - target/ci-trace-a.json target/BENCH_PR10.quick.json <<'PYEOF'
+python3 - target/ci-trace-a.json <<'PYEOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["schema"] == "sdmmon-trace-v1", report["schema"]
@@ -118,22 +111,9 @@ for trace in report["traces"]:
 flights = [t for t in report["traces"] if not t["sampled"]]
 assert any(any(s["stage"] == "respond" for s in t["spans"]) for t in flights), \
     "no flight trace reaches the graded response"
-bench = json.load(open(sys.argv[2]))["trace_profile"]
-assert bench["within_gate"] is True, bench
-assert bench["overhead_pct"] <= bench["overhead_gate_pct"], bench
 print(f"trace ok: {len(report['traces'])} traces ({report['flight_traces']} "
-      f"flight), {report['spans']} spans, tracing overhead "
-      f"{bench['overhead_pct']}% <= {bench['overhead_gate_pct']}%")
+      f"flight), {report['spans']} spans")
 PYEOF
-
-# Schema gate: the committed report must carry the v6 schema (v5 plus the
-# "trace_profile" section and host_cores in every section), and its key
-# sequence must match what the binary writes today — a drifted field set
-# fails the diff.
-grep -q '"schema": "sdmmon-perf-report-v6"' BENCH_PR10.json
-sed -n 's/^ *"\([a-z_0-9]*\)":.*/\1/p' BENCH_PR10.json > target/BENCH_PR10.schema
-sed -n 's/^ *"\([a-z_0-9]*\)":.*/\1/p' target/BENCH_PR10.quick.json > target/BENCH_PR10.quick.schema
-diff target/BENCH_PR10.schema target/BENCH_PR10.quick.schema
 
 # Wire-format differential gate: a router installing the v1 rendering and
 # its twin installing the v2 rendering of the same fleet update must land

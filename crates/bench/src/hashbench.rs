@@ -37,8 +37,7 @@ pub struct HashBenchConfig {
 }
 
 impl HashBenchConfig {
-    /// Standard run; `quick` shrinks the workload for CI smoke runs (the
-    /// report schema is identical).
+    /// Standard run; `quick` shrinks the workload for CI smoke runs.
     pub fn new(quick: bool) -> HashBenchConfig {
         HashBenchConfig {
             words: if quick { 1 << 16 } else { 1 << 20 },
@@ -66,20 +65,15 @@ impl HashPoint {
         self.bitsliced_hps / self.scalar_hps
     }
 
-    /// CLI/JSON label for the compression (matches `sdmmon`'s
-    /// `--compression` values).
+    /// Label for the compression (matches `sdmmon`'s `--compression`
+    /// values).
     pub fn label(&self) -> &'static str {
-        compression_label(self.compression)
-    }
-}
-
-/// CLI/JSON label for a compression function.
-pub fn compression_label(compression: Compression) -> &'static str {
-    match compression {
-        Compression::SumMod16 => "sum",
-        Compression::Xor => "xor",
-        Compression::SBox => "sbox",
-        Compression::SipRound => "sip",
+        match self.compression {
+            Compression::SumMod16 => "sum",
+            Compression::Xor => "xor",
+            Compression::SBox => "sbox",
+            Compression::SipRound => "sip",
+        }
     }
 }
 
@@ -89,9 +83,6 @@ pub fn compression_label(compression: Compression) -> &'static str {
 /// certifies it.
 #[derive(Debug, Clone)]
 pub struct HashBenchReport {
-    /// Host hardware threads (the sweep itself is single-threaded, but the
-    /// report is self-describing about where it ran).
-    pub host_cores: usize,
     /// Words per microbench pass.
     pub words: usize,
     /// Packets in the end-to-end batch.
@@ -162,45 +153,6 @@ impl HashBenchReport {
             self.e2e_speedup()
         );
         out
-    }
-
-    /// The `"hash"` JSON object (keys only, caller wraps), matching the
-    /// `sdmmon-perf-report-v3` schema. Sweep entries are one-line objects
-    /// so line-oriented schema diffs see only the stable keys.
-    pub fn json_object(&self) -> String {
-        let mut json = String::new();
-        let _ = writeln!(json, "  \"hash\": {{");
-        let _ = writeln!(json, "    \"block_lanes\": {BLOCK_LANES},");
-        let _ = writeln!(json, "    \"host_cores\": {},", self.host_cores);
-        let _ = writeln!(json, "    \"words\": {},", self.words);
-        let _ = writeln!(json, "    \"repeats\": {},", self.repeats);
-        let _ = writeln!(json, "    \"sweep\": [");
-        for (i, point) in self.sweep.iter().enumerate() {
-            let comma = if i + 1 < self.sweep.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "      {{ \"compression\": \"{}\", \"scalar_hps\": {:.0}, \"bitsliced_hps\": {:.0}, \"speedup\": {:.3} }}{comma}",
-                point.label(),
-                point.scalar_hps,
-                point.bitsliced_hps,
-                point.speedup()
-            );
-        }
-        let _ = writeln!(json, "    ],");
-        let _ = writeln!(
-            json,
-            "    \"headline_speedup\": {:.3},",
-            self.headline().speedup()
-        );
-        let _ = writeln!(json, "    \"e2e\": {{");
-        let _ = writeln!(json, "      \"packets\": {},", self.packets);
-        let _ = writeln!(json, "      \"reference_pps\": {:.0},", self.reference_pps);
-        let _ = writeln!(json, "      \"block_pps\": {:.0},", self.block_pps);
-        let _ = writeln!(json, "      \"speedup\": {:.3}", self.e2e_speedup());
-        let _ = writeln!(json, "    }},");
-        let _ = writeln!(json, "    \"outputs_identical\": true");
-        let _ = write!(json, "  }}");
-        json
     }
 }
 
@@ -300,9 +252,6 @@ pub fn run(cfg: &HashBenchConfig) -> HashBenchReport {
     );
 
     HashBenchReport {
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         words: words_len,
         packets: cfg.packets,
         repeats: cfg.repeats,
@@ -327,10 +276,6 @@ mod tests {
         assert_eq!(report.sweep.len(), Compression::ALL.len());
         assert!(report.sweep.iter().all(|p| p.scalar_hps > 0.0));
         assert_eq!(report.headline().compression, Compression::SipRound);
-        let json = report.json_object();
-        assert!(json.contains("\"headline_speedup\""));
-        assert!(json.contains("\"compression\": \"sip\""));
-        assert!(json.contains("\"outputs_identical\": true"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The streaming hijack scenario behind `sdmmon stream`, `sdmmon trace` and
-//! the [`traceprof`](crate::traceprof) profile: the deliberately vulnerable
-//! forwarder on [`CORES`] monitored cores under
-//! `SupervisorPolicy::ladder(2, 2)`, fed seeded open-loop rounds in which one
-//! packet in 24 is a stack-smashing hijack, so a run walks the graded
+//! the [`traceprof`](crate::traceprof) overhead gate: the deliberately
+//! vulnerable forwarder on [`CORES`] monitored cores under
+//! `SupervisorPolicy::ladder(2, 2)`, fed seeded open-loop rounds in which
+//! one packet in 24 is a stack-smashing hijack, so a run walks the graded
 //! supervisor (escalation, forensics, parole) mid-stream, not just clean
 //! forwarding.
 

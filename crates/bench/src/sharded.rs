@@ -18,7 +18,6 @@ use sdmmon_monitor::{HardwareMonitor, MerkleTreeHash, MonitoringGraph};
 use sdmmon_npu::np::NetworkProcessor;
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Simulated NP core count for the sweep (a property of the modelled
@@ -38,8 +37,7 @@ pub struct ShardedConfig {
 
 impl ShardedConfig {
     /// Standard sweep: `{1, 2, 4, 8}` shards capped at `max_shards`
-    /// (default all). `quick` shrinks the batch for CI smoke runs; the
-    /// report schema is identical.
+    /// (default all). `quick` shrinks the batch for CI smoke runs.
     pub fn new(quick: bool, max_shards: Option<usize>) -> ShardedConfig {
         let max = max_shards.unwrap_or(CORES).clamp(1, CORES);
         let mut shard_counts: Vec<usize> = [1, 2, 4, 8].into_iter().filter(|&s| s <= max).collect();
@@ -116,66 +114,24 @@ impl ShardedReport {
         }
         render_table(
             &[
-                &format!("np batch, {} cores, {} packets", self.cores, self.packets),
+                &format!(
+                    "np batch, {} cores, {} packets, {} host cores",
+                    self.cores, self.packets, self.host_cores
+                ),
                 "kpps",
                 "vs serial",
             ],
             &rows,
         )
     }
-
-    /// The `"sharded"` JSON object (keys only, caller wraps), introduced
-    /// with `sdmmon-perf-report-v2` (v5 added `host_cores`). Sweep entries
-    /// are one-line objects so line-oriented schema diffs see only the
-    /// stable keys.
-    pub fn json_object(&self) -> String {
-        let headline = self.headline();
-        let mut json = String::new();
-        let _ = writeln!(json, "  \"sharded\": {{");
-        let _ = writeln!(json, "    \"cores\": {},", self.cores);
-        let _ = writeln!(json, "    \"host_cores\": {},", self.host_cores);
-        let _ = writeln!(json, "    \"packets\": {},", self.packets);
-        let _ = writeln!(json, "    \"repeats\": {},", self.repeats);
-        let _ = writeln!(json, "    \"serial_pps\": {:.0},", self.serial_pps);
-        let _ = writeln!(json, "    \"sweep\": [");
-        for (i, point) in self.sweep.iter().enumerate() {
-            let comma = if i + 1 < self.sweep.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "      {{ \"shards\": {}, \"pps\": {:.0}, \"speedup_vs_serial\": {:.3} }}{comma}",
-                point.shards,
-                point.pps,
-                self.speedup(point)
-            );
-        }
-        let _ = writeln!(json, "    ],");
-        let _ = writeln!(json, "    \"headline_shards\": {},", headline.shards);
-        let _ = writeln!(
-            json,
-            "    \"headline_speedup\": {:.3},",
-            self.speedup(&headline)
-        );
-        let _ = writeln!(json, "    \"byte_identical\": true");
-        let _ = write!(json, "  }}");
-        json
-    }
 }
 
 /// Runs the sweep. Every timed batch — serial and sharded alike — is
 /// compared against a reference result computed up front, and the final
 /// `NpStats` of every NP must match the serial twin exactly; any
-/// divergence panics rather than reporting a tainted number.
-///
-/// With `bus` attached to every timed NP, each batch also emits its
-/// `np.batch` telemetry event (shard count, packet count, queue
-/// imbalance). Batch telemetry carries only logical quantities, so the
-/// stream is byte-identical per configuration even though the
-/// surrounding measurements are timed. `None` keeps the timed loop free
-/// of any event plumbing (the default `sdmmon bench` gate).
-pub fn run(
-    cfg: &ShardedConfig,
-    bus: Option<&std::sync::Arc<sdmmon_obs::EventBus>>,
-) -> ShardedReport {
+/// divergence panics rather than reporting a tainted number. The timed
+/// NPs carry no event bus, so the loop is free of event plumbing.
+pub fn run(cfg: &ShardedConfig) -> ShardedReport {
     let program = programs::ipv4_forward().expect("embedded workload assembles");
     let image = program.to_bytes();
     let install = |np: &mut NetworkProcessor| {
@@ -201,7 +157,6 @@ pub fn run(
 
     let mut serial_np = NetworkProcessor::new(CORES);
     install(&mut serial_np);
-    serial_np.set_event_bus(bus.cloned());
     let mut shard_nps: Vec<NetworkProcessor> = cfg
         .shard_counts
         .iter()
@@ -209,7 +164,6 @@ pub fn run(
             let mut np = NetworkProcessor::new(CORES);
             install(&mut np);
             np.set_shards(shards);
-            np.set_event_bus(bus.cloned());
             np
         })
         .collect();
@@ -273,13 +227,10 @@ mod tests {
             repeats: 1,
             shard_counts: vec![1, 2],
         };
-        let report = run(&cfg, None);
+        let report = run(&cfg);
         assert_eq!(report.sweep.len(), 2);
         assert_eq!(report.headline().shards, 2);
         assert!(report.serial_pps > 0.0);
-        let json = report.json_object();
-        assert!(json.contains("\"headline_speedup\""));
-        assert!(json.contains("\"byte_identical\": true"));
     }
 
     #[test]

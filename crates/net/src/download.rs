@@ -252,11 +252,14 @@ impl fmt::Display for DownloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DownloadError::NotFound { path } => write!(f, "download {path}: not published"),
-            DownloadError::AttemptsExhausted { path, last, spent } => write!(
-                f,
-                "download {path}: gave up after {} attempts ({last})",
-                spent.attempts.len()
-            ),
+            DownloadError::AttemptsExhausted { path, last, spent } => {
+                let n = spent.attempts.len();
+                let plural = if n == 1 { "" } else { "s" };
+                write!(
+                    f,
+                    "download {path}: gave up after {n} attempt{plural} ({last})"
+                )
+            }
         }
     }
 }
@@ -811,7 +814,12 @@ mod tests {
             (whole, AttemptOutcome::Probed),
             (range, AttemptOutcome::Chunk(4096)),
         ] {
-            match result.unwrap_err() {
+            let err = result.unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "download pkg: gave up after 1 attempt (attempt budget of 1 spent)"
+            );
+            match err {
                 DownloadError::AttemptsExhausted { last, spent, .. } => {
                     assert_eq!(spent.attempts.len(), 1);
                     assert_eq!(spent.attempts[0].outcome, outcome);

@@ -79,7 +79,7 @@ impl fmt::Display for NpStats {
 
 impl NpStats {
     /// Renders the counters as one line of JSON with a fixed key order —
-    /// the shared formatting `sdmmon stats` and `perf_report` print
+    /// the formatting `sdmmon stream` and `sdmmon stats` print
     /// (hand-rolled; the workspace has no serialization dependency).
     pub fn to_json(&self) -> String {
         format!(

@@ -8,7 +8,9 @@
 //!   one that escalates cores through redeploy and quarantine mid-stream.
 //!   With a [`TraceContext`] at 0, 200 and 1000 per mille the two paths
 //!   also emit one event stream — admission and execution spans and
-//!   flight promotions included — event for event.
+//!   flight promotions included — event for event. At nonzero rates that
+//!   stream ingests sampled packets, admits no more than it ingests, and
+//!   verifies each dispatched one exactly once.
 //! * Backpressure: `offered == admitted + dropped` holds exactly, drops
 //!   land on precisely the `None` outcome slots, and a skewed arrival
 //!   pattern actually provokes steals.
@@ -19,8 +21,10 @@ use sdmmon_npu::cpu::NullObserver;
 use sdmmon_npu::np::{NetworkProcessor, StreamConfig};
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::supervisor::SupervisorPolicy;
-use sdmmon_obs::trace::{KIND_FLIGHT, KIND_SPAN_INGEST};
-use sdmmon_obs::{Event, EventBus, TraceContext};
+use sdmmon_obs::trace::{
+    KIND_FLIGHT, KIND_SPAN_ADMIT, KIND_SPAN_DISPATCH, KIND_SPAN_INGEST, KIND_SPAN_VERIFY,
+};
+use sdmmon_obs::{Event, EventBus, TraceContext, Value};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
 use std::sync::Arc;
 
@@ -153,6 +157,42 @@ fn streaming_is_byte_identical_to_serial_for_all_shard_counts_and_seeds() {
     }
 }
 
+/// An event's unsigned field (`trace`, `steps`, …).
+fn u64_field(event: &Event, key: &str) -> u64 {
+    match event.fields.iter().find(|(k, _)| *k == key) {
+        Some((_, Value::U64(n))) => *n,
+        other => panic!("{} has no unsigned `{key}`: {other:?}", event.kind),
+    }
+}
+
+/// The span books of a sampled stream: it emits ingest spans, admits no
+/// more sampled packets than it ingested, and verifies every dispatched
+/// sampled packet exactly once, with at least one retired instruction.
+fn check_span_books(events: &[Event], context: &str) {
+    let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+    let ingest = count(KIND_SPAN_INGEST);
+    assert!(ingest > 0, "no ingest spans: {context}");
+    assert!(count(KIND_SPAN_ADMIT) <= ingest, "{context}");
+    // A packet is its (ordinal, trace) pair.
+    let packets = |kind| {
+        let mut keys: Vec<(u64, u64)> = events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.clock, u64_field(e, "trace")))
+            .collect();
+        keys.sort_unstable();
+        keys
+    };
+    assert_eq!(
+        packets(KIND_SPAN_VERIFY),
+        packets(KIND_SPAN_DISPATCH),
+        "not one verify span per dispatch span: {context}"
+    );
+    for verify in events.iter().filter(|e| e.kind == KIND_SPAN_VERIFY) {
+        assert!(u64_field(verify, "steps") > 0, "{verify:?}: {context}");
+    }
+}
+
 #[test]
 fn traced_streaming_emits_the_serial_event_stream() {
     let policy = SupervisorPolicy::ladder(2, 2);
@@ -189,13 +229,16 @@ fn traced_streaming_emits_the_serial_event_stream() {
                         .collect();
                     (got.outcomes, np.stats(), events)
                 };
+                let context = format!("{shards} shards, seed {seed:#x}, per-mille {per_mille}");
                 let want = run(true);
                 carried[rate] |= want.2.iter().any(|e| e.kind == traced_kind);
+                if per_mille > 0 {
+                    check_span_books(&want.2, &context);
+                }
                 assert_eq!(
                     run(false),
                     want,
-                    "traced stream diverged from serial at {shards} shards, \
-                     seed {seed:#x}, per-mille {per_mille}"
+                    "traced stream diverged from serial at {context}"
                 );
             }
         }

@@ -458,6 +458,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn observability_doc_names_every_metric() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let start = doc.find("\n## Metrics registry").expect("metrics section") + 1;
+        let section = &doc[start..];
+        let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+        let missing: Vec<&str> = Counter::ALL
+            .iter()
+            .map(|c| c.name())
+            .chain(Gauge::ALL.iter().map(|g| g.name()))
+            .chain(Hist::ALL.iter().map(|h| h.name()))
+            .filter(|name| !section.contains(&format!("`{name}`")))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "docs/OBSERVABILITY.md's metrics section omits {} metrics: {missing:?}",
+            missing.len()
+        );
+    }
+
+    #[test]
     fn counters_accumulate_and_reset() {
         let m = MetricsRegistry::new();
         m.inc(Counter::NpPackets);

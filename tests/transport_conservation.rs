@@ -4,8 +4,9 @@
 //! `net_download_attempts - net_integrity_restarts` equals the servers'
 //! own attempt count, and on the per-router path the deploy records book
 //! every attempt and integrity restart, downloads that gave up included.
-//! This file holds a single test, which runs in its own process, so the
-//! global metrics registry's counts are exact.
+//! The relay-tree push is also amortized: one shared package, signed once,
+//! and one key wrap per router. This file holds a single test, which runs
+//! in its own process, so the global metrics registry's counts are exact.
 
 use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
 use sdmmon::core::entities::{Manufacturer, NetworkOperator};
@@ -135,5 +136,14 @@ fn client_attempts_match_server_attempts_on_both_deploy_paths() {
             report.transport_attempts,
             "seed {seed}"
         );
+        // The push is amortized: two signatures (the operator certificate
+        // and the one shared package), one prepared update, and one key
+        // wrap per router.
+        let routers = config.routers as u64;
+        let count = |c| metrics().counter(c);
+        assert_eq!(count(Counter::CryptoRsaSign), 2, "seed {seed}");
+        assert_eq!(count(Counter::FleetUpdatesPrepared), 1, "seed {seed}");
+        assert_eq!(count(Counter::FleetKeyWraps), routers, "seed {seed}");
+        assert_eq!(count(Counter::CryptoRsaWrap), routers, "seed {seed}");
     }
 }
