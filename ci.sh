@@ -34,6 +34,10 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
+# The release tier also runs the wire-format differential gate
+# (tests/fleet_scale.rs): a router installing the v1 rendering and its
+# twin installing the v2 rendering of the same fleet update must land in
+# byte-identical state, across seeds and core counts.
 cargo test -q --workspace --release
 
 # Performance gates, all in one run with metrics recording on (the
@@ -114,11 +118,6 @@ assert any(any(s["stage"] == "respond" for s in t["spans"]) for t in flights), \
 print(f"trace ok: {len(report['traces'])} traces ({report['flight_traces']} "
       f"flight), {report['spans']} spans")
 PYEOF
-
-# Wire-format differential gate: a router installing the v1 rendering and
-# its twin installing the v2 rendering of the same fleet update must land
-# in byte-identical state, across seeds and core counts.
-cargo test -q --release --test fleet_scale v1_and_v2_installs_agree
 
 cargo run --release --bin sdmmon -- campaign --seed 1 --budget 2000
 

@@ -201,9 +201,7 @@ pub fn run(cfg: &ShardedConfig) -> ShardedReport {
 
     ShardedReport {
         cores: CORES,
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        host_cores: sdmmon_npu::engine::host_threads(),
         packets: cfg.packets,
         repeats: cfg.repeats,
         serial_pps,

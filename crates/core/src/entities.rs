@@ -717,10 +717,11 @@ impl RouterDevice {
         let graph = MonitoringGraph::from_bytes(&package.graph)
             .map_err(|e| SdmmonError::MalformedPackage(e.to_string()))?;
 
-        // Program the requested cores: binary + monitor(graph, param).
+        // Program the requested cores: binary + monitor(graph, param). The
+        // monitor is compiled once; the other cores get copies.
         let hash = MerkleTreeHash::with_compression(package.hash_param, package.compression);
-        for &core in cores {
-            let monitor = HardwareMonitor::new(graph.clone(), hash);
+        let monitors = vec![HardwareMonitor::new(graph, hash); cores.len()];
+        for (&core, monitor) in cores.iter().zip(monitors) {
             self.np
                 .install(core, &package.binary, package.base, Box::new(monitor));
             self.installed[core] = Some(InstalledApp {

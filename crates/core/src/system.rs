@@ -20,7 +20,7 @@ use sdmmon_net::channel::{Channel, FileServer};
 use sdmmon_net::download::{DownloadClient, DownloadError, RetryPolicy};
 use sdmmon_net::resilience::{FlakyServer, LossyChannel};
 use sdmmon_npu::core::Core;
-use sdmmon_npu::engine::{shard_spans, WorkerPool};
+use sdmmon_npu::engine::{host_threads, shard_spans, WorkerPool};
 use sdmmon_npu::programs::testing::hijack_packet;
 use sdmmon_npu::runtime::{HaltReason, PacketOutcome, Verdict};
 use sdmmon_npu::supervisor::SupervisorPolicy;
@@ -40,13 +40,7 @@ use std::time::Duration;
 /// deploys simply take turns.
 fn deploy_pool() -> &'static Mutex<WorkerPool> {
     static POOL: OnceLock<Mutex<WorkerPool>> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
-        Mutex::new(WorkerPool::new(workers))
-    })
+    POOL.get_or_init(|| Mutex::new(WorkerPool::new(host_threads().clamp(1, 8))))
 }
 
 /// Runs `task(i)` for every index over the persistent deploy pool and

@@ -9,7 +9,8 @@
 //!    valid successor addresses derived from the control-flow structure.
 //! 2. **Runtime checking** ([`monitor::HardwareMonitor`]) observes the hash
 //!    of each instruction the core retires and tracks the set of graph
-//!    positions consistent with the observed hash stream. If the set
+//!    positions consistent with the observed hash stream (an NFA, compiled
+//!    to a DFA transition table when the monitor is built). If the set
 //!    becomes empty the processor deviated from programmed behaviour — an
 //!    attack is flagged and the core is reset.
 //! 3. **Parameterizable hashing** ([`hash::MerkleTreeHash`]) gives every

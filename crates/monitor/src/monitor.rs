@@ -7,6 +7,11 @@
 //! observed so far (an NFA over the graph). An empty set means the
 //! processor's behaviour matches no valid path: an attack is flagged.
 //!
+//! [`HardwareMonitor::new`] compiles those NFA semantics into a table, a
+//! DFA whose states are the reachable candidate sets, so the block path
+//! advances with one table load per instruction. The per-instruction
+//! `observe` path walks the set itself and is the table's oracle.
+//!
 //! This also faithfully reproduces the probabilistic escape behaviour the
 //! paper analyses: injected code survives one comparison only when its hash
 //! happens to match some candidate position (chance ≈ 2⁻⁴ per
@@ -19,8 +24,8 @@ use sdmmon_npu::core::{BlockObserver, Core, RETIRE_BLOCK};
 use sdmmon_npu::cpu::{ExecutionObserver, Observation};
 use sdmmon_npu::runtime::PacketOutcome;
 
-/// "No singleton candidate" sentinel for [`BlockRun::node`].
-const NO_NODE: u32 = u32::MAX;
+/// Transition-table cell of a hash that no candidate matches: a violation.
+const REJECT: u32 = u32::MAX;
 
 // The core's retirement buffer and the bit-sliced hash data path must agree
 // on the block width; a full buffer flush is exactly one SWAR pass.
@@ -40,7 +45,7 @@ pub struct MonitorStats {
 }
 
 /// A per-core hardware monitor: monitoring graph + parameterized hash +
-/// candidate-set tracking.
+/// candidate-set tracking, compiled to a transition table.
 ///
 /// Matching uses **only the hash stream**, never the reported pc, mirroring
 /// the hardware. See the crate-level example for typical usage with a
@@ -49,19 +54,8 @@ pub struct MonitorStats {
 pub struct HardwareMonitor<H: InstructionHash> {
     graph: MonitoringGraph,
     hash: H,
-    /// Per-node instruction hash, indexed by node index — the dense table
-    /// the hardware actually compares against, one memory access per
-    /// retired instruction.
-    node_hashes: Vec<u8>,
-    /// Flattened per-node successor lists as node indices (not
-    /// addresses), each sorted and deduplicated — exactly the set the
-    /// general path's `sort_unstable` + `dedup` produces for a singleton
-    /// candidate set, computed once at construction so the
-    /// block-verification path ([`ExecutionObserver::run_packet`]) advances
-    /// with a span copy instead of a sort per instruction.
-    fast_edges: Vec<u32>,
-    /// Per-node `(start, end)` span into [`Self::fast_edges`].
-    fast_spans: Vec<(u32, u32)>,
+    nodes: Nodes,
+    dfa: Dfa,
     /// Candidate graph positions (node indices) consistent with the
     /// observed hash stream.
     current: Vec<u32>,
@@ -69,18 +63,138 @@ pub struct HardwareMonitor<H: InstructionHash> {
     stats: MonitorStats,
 }
 
+/// The graph compiled to node indices: per node, the instruction hash the
+/// hardware compares against and the in-graph successors, sorted and
+/// deduplicated (node `i`'s are `edges[starts[i]..starts[i + 1]]`).
+#[derive(Debug, Clone, Default)]
+struct Nodes {
+    hashes: Vec<u8>,
+    edges: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl Nodes {
+    fn successors(&self, node: u32) -> &[u32] {
+        let node = node as usize;
+        &self.edges[self.starts[node] as usize..self.starts[node + 1] as usize]
+    }
+
+    /// The monitor's one transition rule, run by the reference path and by
+    /// the table builder: `into` becomes the union of the successors of
+    /// every candidate in `from` whose hash is `observed`, sorted and
+    /// deduplicated. Returns `false` — a violation — when none matches.
+    fn step(&self, from: &[u32], observed: u8, into: &mut Vec<u32>) -> bool {
+        into.clear();
+        let mut matched = false;
+        for &cand in from {
+            if self.hashes[cand as usize] == observed {
+                matched = true;
+                into.extend_from_slice(self.successors(cand));
+            }
+        }
+        into.sort_unstable();
+        into.dedup();
+        matched
+    }
+}
+
+/// The candidate-set NFA compiled to a DFA over the hash alphabet. State
+/// `i < n` is the singleton `{i}`, so a state's id is its node index;
+/// state `n` is the empty set; the multi-candidate sets reachable from
+/// those follow in the order the construction finds them.
+#[derive(Debug, Clone, Default)]
+struct Dfa {
+    /// Row width in bits: the hash's output width.
+    bits: u32,
+    /// `next[state << bits | hash]`: the successor state, or [`REJECT`].
+    /// Empty for a graph whose construction passed the state cap.
+    next: Vec<u32>,
+    /// State `s`'s candidate set is `members[starts[s]..starts[s + 1]]`.
+    members: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl Dfa {
+    /// Subset-constructs the table of `nodes` over `bits`-bit hashes.
+    /// Graphs arrive in packages from outside the program, so the
+    /// construction stops, returning `None`, at `4·n` states.
+    fn build(nodes: &Nodes, bits: u32) -> Option<Dfa> {
+        let n = nodes.hashes.len();
+        // The sets {0}, …, {n − 1}, then the empty set.
+        let mut dfa = Dfa {
+            bits,
+            next: vec![REJECT; (n + 1) << bits],
+            members: (0..n as u32).collect(),
+            starts: (0..=n as u32).chain([n as u32]).collect(),
+        };
+        // A singleton moves on its node's hash alone, to its successors. A
+        // hash wider than the row (possible in a loaded graph) never matches.
+        for node in 0..n {
+            let hash = usize::from(nodes.hashes[node]);
+            if hash >> bits == 0 {
+                dfa.next[node << bits | hash] = dfa.intern(nodes.successors(node as u32), n)?;
+            }
+        }
+        // Multi-candidate rows, which may find further sets. Only the
+        // members' own hashes can match.
+        let mut into = Vec::new();
+        let mut state = n + 1;
+        while state + 1 < dfa.starts.len() {
+            let (lo, hi) = (dfa.starts[state] as usize, dfa.starts[state + 1] as usize);
+            for k in lo..hi {
+                let hash = nodes.hashes[dfa.members[k] as usize];
+                let cell = state << bits | usize::from(hash);
+                if usize::from(hash) >> bits == 0 && dfa.next[cell] == REJECT {
+                    nodes.step(&dfa.members[lo..hi], hash, &mut into);
+                    dfa.next[cell] = dfa.intern(&into, n)?;
+                }
+            }
+            state += 1;
+        }
+        Some(dfa)
+    }
+
+    /// The state of the sorted, deduplicated candidate `set`, added with
+    /// an all-[`REJECT`] row if it is a new multi-candidate set; `None`
+    /// once the table holds `4·n` states.
+    fn intern(&mut self, set: &[u32], n: usize) -> Option<u32> {
+        match *set {
+            [] => Some(n as u32),
+            [only] => Some(only),
+            _ => {
+                let states = self.starts.len() - 1;
+                if let Some(s) = (n + 1..states).find(|&s| self.set(s as u32) == set) {
+                    return Some(s as u32);
+                }
+                if states >= 4 * n {
+                    return None;
+                }
+                self.members.extend_from_slice(set);
+                self.starts.push(self.members.len() as u32);
+                self.next.resize(self.next.len() + (1 << self.bits), REJECT);
+                Some(states as u32)
+            }
+        }
+    }
+
+    fn set(&self, state: u32) -> &[u32] {
+        let state = state as usize;
+        &self.members[self.starts[state] as usize..self.starts[state + 1] as usize]
+    }
+}
+
 impl<H: InstructionHash> HardwareMonitor<H> {
     /// Couples a monitoring graph with the hash function it was built
     /// under. (SDMMon guarantees the coupling cryptographically: graph and
     /// hash parameter travel in the same signed package.)
     ///
-    /// The graph is compiled into dense index-based tables here, so the
-    /// per-instruction check in [`ExecutionObserver::observe`] is a plain
-    /// array compare with no address arithmetic or bounds decisions.
-    /// Successor addresses that fall outside the graph (possible only in
-    /// hand-crafted or corrupted serialized graphs) are dropped during
-    /// compilation — they could never match any future hash, which is
-    /// exactly how the uncompiled monitor treated them.
+    /// The graph is compiled here into dense index-based tables and the
+    /// transition table of [`ExecutionObserver::run_packet`] (none past
+    /// `4·n` states; `run_packet` then checks per instruction). Successor
+    /// addresses that fall outside the graph (possible only in hand-crafted
+    /// or corrupted serialized graphs) are dropped during compilation —
+    /// they could never match any future hash, which is exactly how the
+    /// uncompiled monitor treated them.
     ///
     /// # Panics
     ///
@@ -92,28 +206,28 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             hash.output_bits(),
             "graph and hash function disagree on output width"
         );
-        let mut node_hashes = Vec::with_capacity(graph.len());
-        let mut fast_edges = Vec::new();
-        let mut fast_spans = Vec::with_capacity(graph.len());
+        let mut nodes = Nodes::default();
+        nodes.starts.push(0);
+        let mut successors = Vec::new();
         for (_, node) in graph.iter() {
-            node_hashes.push(node.hash);
-            let mut successors: Vec<u32> = node
-                .successors
-                .iter()
-                .filter_map(|&addr| node_index(&graph, addr))
-                .collect();
+            nodes.hashes.push(node.hash);
+            successors.clear();
+            successors.extend(
+                node.successors
+                    .iter()
+                    .filter_map(|&addr| node_index(&graph, addr)),
+            );
             successors.sort_unstable();
             successors.dedup();
-            let start = fast_edges.len() as u32;
-            fast_edges.extend(successors);
-            fast_spans.push((start, fast_edges.len() as u32));
+            nodes.edges.extend_from_slice(&successors);
+            nodes.starts.push(nodes.edges.len() as u32);
         }
+        let dfa = Dfa::build(&nodes, hash.output_bits().into()).unwrap_or_default();
         HardwareMonitor {
             graph,
             hash,
-            node_hashes,
-            fast_edges,
-            fast_spans,
+            nodes,
+            dfa,
             current: Vec::new(),
             scratch: Vec::new(),
             stats: MonitorStats::default(),
@@ -148,42 +262,24 @@ fn node_index(graph: &MonitoringGraph, addr: u32) -> Option<u32> {
 }
 
 impl<H: InstructionHash> HardwareMonitor<H> {
-    fn begin_impl(&mut self, entry: u32) {
+    /// Starts a packet run at `entry`; returns the entry's node, if the
+    /// graph covers it.
+    fn begin_impl(&mut self, entry: u32) -> Option<u32> {
         self.stats.runs += 1;
+        let node = node_index(&self.graph, entry);
         self.current.clear();
-        self.current.extend(node_index(&self.graph, entry));
+        self.current.extend(node);
+        node
     }
 
-    /// The reference per-instruction check: hash the word, compare against
-    /// every candidate, advance to the union of matched successors. This is
-    /// the hardware's data path and the oracle the block-verification path
-    /// must agree with.
-    fn observe_general(&mut self, word: u32) -> Observation {
-        let observed = self.hash.hash(word);
-        self.advance_candidates(observed)
-    }
-
-    /// Candidate-set advance for an already-computed hash value: the
-    /// union of the matched candidates' successor spans, sorted and
-    /// deduplicated.
+    /// The reference per-instruction check for an already-computed hash:
+    /// advance the candidate set by the step rule. This is the hardware's
+    /// data path and the oracle the transition table must agree with.
     fn advance_candidates(&mut self, observed: u8) -> Observation {
-        self.scratch.clear();
-        let mut matched = false;
-        for i in 0..self.current.len() {
-            let cand = self.current[i] as usize;
-            if self.node_hashes[cand] == observed {
-                matched = true;
-                let (start, end) = self.fast_spans[cand];
-                self.scratch
-                    .extend_from_slice(&self.fast_edges[start as usize..end as usize]);
-            }
-        }
-        if !matched {
+        if !self.nodes.step(&self.current, observed, &mut self.scratch) {
             self.stats.violations += 1;
             return Observation::Violation;
         }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
         std::mem::swap(&mut self.current, &mut self.scratch);
         self.stats.max_candidates = self.stats.max_candidates.max(self.current.len());
         Observation::Continue
@@ -192,187 +288,56 @@ impl<H: InstructionHash> HardwareMonitor<H> {
 
 /// The block-verification observer [`HardwareMonitor::run_packet`] hands
 /// to [`Core::process_packet_blocks`]: full retirement blocks are hashed in
-/// one bit-sliced pass ([`InstructionHash::hash_block`]) and the NFA walk
-/// consumes the precomputed lane hashes; partial final blocks (trap,
-/// `break 0`, step-limit) take the scalar tail. Per-run bookkeeping lives
-/// in register-friendly locals merged back into [`MonitorStats`] once per
-/// packet. Private on purpose — the block path is reachable only through
+/// one bit-sliced pass ([`InstructionHash::hash_block`]), partial final
+/// blocks (trap, `break 0`, step limit) by the scalar tail, and each lane
+/// moves the DFA state with one table load. Per-run bookkeeping lives in
+/// locals merged back into [`MonitorStats`] once per packet. Private on
+/// purpose — the block path is reachable only through
 /// [`ExecutionObserver::run_packet`], keeping the trait's per-instruction
 /// `observe` the unchanged reference implementation (the differential
 /// oracle).
 struct BlockRun<'a, H: InstructionHash> {
     mon: &'a mut HardwareMonitor<H>,
-    /// The sole candidate while the set is a singleton ([`NO_NODE`]
-    /// otherwise) — the overwhelmingly common straight-line mode, kept in
-    /// a register instead of `current[0]`.
-    node: u32,
-    /// Both live arms of a branch while the set has exactly two
-    /// candidates (`pair.0 == NO_NODE` otherwise; always sorted, like the
-    /// sets the reference path produces). The pair resolves with two
-    /// table compares, so the branch round-trip — the most common
-    /// non-singleton shape by far — never touches `mon.current`.
-    pair: (u32, u32),
-    /// Local high-water mark of the candidate-set sizes produced by the
-    /// register-resident advances; merged into `stats.max_candidates` at
-    /// the end of the packet (the materialized fallback updates the stat
-    /// directly, and `max` is order-independent).
+    /// The DFA state after the lanes walked so far; a violating lane
+    /// leaves it, like the reference path's set. [`REJECT`] until `begin`.
+    state: u32,
+    /// High-water mark of the candidate-set sizes reached this run.
     max_seen: usize,
     /// Full 16-lane blocks hashed bit-sliced this run.
     blocks: u64,
     /// Instructions hashed by the scalar tail this run.
     tail: u64,
-    /// Per-lane hashes of the block being walked.
-    hashes: [u8; BLOCK_LANES],
-}
-
-impl<'a, H: InstructionHash> BlockRun<'a, H> {
-    fn new(mon: &'a mut HardwareMonitor<H>) -> BlockRun<'a, H> {
-        BlockRun {
-            mon,
-            node: NO_NODE,
-            pair: (NO_NODE, NO_NODE),
-            max_seen: 0,
-            blocks: 0,
-            tail: 0,
-            hashes: [0; BLOCK_LANES],
-        }
-    }
-
-    /// After a proven match on `cand`, move to its pre-sorted, pre-deduped
-    /// successor span, picking the cheapest mode for the new set size and
-    /// recording the high-water statistic the reference path would.
-    #[inline]
-    fn advance_span(&mut self, cand: usize) {
-        let (start, end) = self.mon.fast_spans[cand];
-        let span = &self.mon.fast_edges[start as usize..end as usize];
-        match *span {
-            [next] => {
-                self.node = next;
-                self.pair = (NO_NODE, NO_NODE);
-                self.max_seen = self.max_seen.max(1);
-            }
-            [a, b] => {
-                self.node = NO_NODE;
-                self.pair = (a, b);
-                self.max_seen = self.max_seen.max(2);
-            }
-            _ => {
-                self.node = NO_NODE;
-                self.pair = (NO_NODE, NO_NODE);
-                self.max_seen = self.max_seen.max(span.len());
-                self.mon.current.clear();
-                self.mon.current.extend_from_slice(span);
-            }
-        }
-    }
-
-    /// Writes the register-resident candidate set (singleton or pair) back
-    /// into `mon.current` and leaves the run in general mode. No-op when
-    /// the set already lives there.
-    fn materialize(&mut self) {
-        if self.node != NO_NODE {
-            self.mon.current.clear();
-            self.mon.current.push(self.node);
-            self.node = NO_NODE;
-        } else if self.pair.0 != NO_NODE {
-            self.mon.current.clear();
-            self.mon.current.push(self.pair.0);
-            self.mon.current.push(self.pair.1);
-            self.pair = (NO_NODE, NO_NODE);
-        }
-    }
-
-    /// Re-enters the cheapest mode for whatever set the materialized
-    /// fallback left in `mon.current` (which stays a stale copy while a
-    /// register mode is active).
-    fn sync_mode(&mut self) {
-        match *self.mon.current.as_slice() {
-            [only] => {
-                self.node = only;
-                self.pair = (NO_NODE, NO_NODE);
-            }
-            [a, b] => {
-                self.node = NO_NODE;
-                self.pair = (a, b);
-            }
-            _ => {
-                self.node = NO_NODE;
-                self.pair = (NO_NODE, NO_NODE);
-            }
-        }
-    }
-
-    /// One NFA step for a precomputed lane hash. Must stay in lockstep
-    /// with [`HardwareMonitor::advance_candidates`] — same matches, same
-    /// resulting set, same statistics; only the dispatch differs (register
-    /// modes for singleton/pair sets, the reference-shaped fallback for
-    /// everything else). On a violation the candidate state is left
-    /// untouched, exactly like the reference path.
-    #[inline]
-    fn advance(&mut self, observed: u8) -> Observation {
-        let node = self.node;
-        if node != NO_NODE {
-            if self.mon.node_hashes[node as usize] == observed {
-                self.advance_span(node as usize);
-                return Observation::Continue;
-            }
-            self.mon.stats.violations += 1;
-            return Observation::Violation;
-        }
-        if self.pair.0 != NO_NODE {
-            return self.advance_pair(observed);
-        }
-        let obs = self.mon.advance_candidates(observed);
-        if obs == Observation::Continue {
-            self.sync_mode();
-        }
-        obs
-    }
-
-    /// Pair-mode step: resolve both arms of a live branch with two table
-    /// compares. The both-match case (a hash collision between the arms)
-    /// takes the materialized reference-shaped fallback.
-    fn advance_pair(&mut self, observed: u8) -> Observation {
-        let (pa, pb) = (self.pair.0 as usize, self.pair.1 as usize);
-        let m0 = self.mon.node_hashes[pa] == observed;
-        let m1 = self.mon.node_hashes[pb] == observed;
-        if m0 != m1 {
-            self.advance_span(if m0 { pa } else { pb });
-            return Observation::Continue;
-        }
-        if !m0 {
-            self.mon.stats.violations += 1;
-            return Observation::Violation;
-        }
-        self.materialize();
-        let obs = self.mon.advance_candidates(observed);
-        if obs == Observation::Continue {
-            self.sync_mode();
-        }
-        obs
-    }
 }
 
 impl<H: InstructionHash> BlockObserver for BlockRun<'_, H> {
     fn begin(&mut self, entry: u32) {
-        self.mon.begin_impl(entry);
-        self.sync_mode();
+        let empty = self.mon.nodes.hashes.len() as u32;
+        self.state = self.mon.begin_impl(entry).unwrap_or(empty);
     }
 
     fn observe_block(&mut self, words: &[u32]) -> Option<usize> {
+        let mon = &mut *self.mon;
         // Full blocks go through the bit-sliced tree — one SWAR pass for
         // all 16 lanes; the partial final block falls back to the scalar
         // hash (the block path's scalar tail).
-        if let Ok(full) = <&[u32; BLOCK_LANES]>::try_from(words) {
-            self.hashes = self.mon.hash.hash_block(full);
+        let hashes = if let Ok(full) = <&[u32; BLOCK_LANES]>::try_from(words) {
             self.blocks += 1;
+            mon.hash.hash_block(full)
         } else {
-            for (h, &w) in self.hashes.iter_mut().zip(words) {
-                *h = self.mon.hash.hash(w);
-            }
             self.tail += words.len() as u64;
+            std::array::from_fn(|i| words.get(i).map_or(0, |&w| mon.hash.hash(w)))
+        };
+        let dfa = &mon.dfa;
+        for (lane, &hash) in hashes[..words.len()].iter().enumerate() {
+            let next = dfa.next[(self.state as usize) << dfa.bits | usize::from(hash)];
+            if next == REJECT {
+                mon.stats.violations += 1;
+                return Some(lane);
+            }
+            self.state = next;
+            self.max_seen = self.max_seen.max(dfa.set(next).len());
         }
-        (0..words.len()).find(|&i| self.advance(self.hashes[i]) == Observation::Violation)
+        None
     }
 }
 
@@ -383,24 +348,36 @@ impl<H: InstructionHash> ExecutionObserver for HardwareMonitor<H> {
 
     fn observe(&mut self, _pc: u32, word: u32) -> Observation {
         self.stats.instructions_checked += 1;
-        self.observe_general(word)
+        let observed = self.hash.hash(word);
+        self.advance_candidates(observed)
     }
 
     /// The block per-packet path: the core retires instructions into
     /// 16-word blocks ([`Core::process_packet_blocks`]), full blocks are
-    /// hashed in one bit-sliced SWAR pass, and the NFA walk consumes the
-    /// precomputed lane hashes. Outcomes and statistics are identical to
+    /// hashed in one bit-sliced SWAR pass, and the transition table
+    /// consumes the lane hashes. Outcomes and statistics are identical to
     /// the default per-instruction dispatch — the block loop rolls the
     /// step count back to the violating lane and discards speculative
-    /// over-execution.
+    /// over-execution. A monitor without a table takes that default.
     fn run_packet(&mut self, core: &mut Core, packet: &[u8]) -> PacketOutcome {
-        let mut run = BlockRun::new(self);
+        if self.dfa.next.is_empty() {
+            return core.process_packet(packet, self);
+        }
+        let mut run = BlockRun {
+            mon: self,
+            state: REJECT,
+            max_seen: 0,
+            blocks: 0,
+            tail: 0,
+        };
         let out = core.process_packet_blocks(packet, &mut run);
+        let (state, max_seen, blocks, tail) = (run.state, run.max_seen, run.blocks, run.tail);
         // The candidate set must survive the run (`candidate_count` is
-        // public API and `begin` of the next packet reads nothing else),
-        // so flush whatever register mode the run ended in.
-        run.materialize();
-        let (max_seen, blocks, tail) = (run.max_seen, run.blocks, run.tail);
+        // public API); an oversized packet begins no run and keeps it.
+        if state != REJECT {
+            self.current.clear();
+            self.current.extend_from_slice(self.dfa.set(state));
+        }
 
         // The block loop checks exactly one hash per retired instruction —
         // the count the core already returns — so the per-instruction
@@ -567,9 +544,10 @@ mod tests {
         let graph = MonitoringGraph::extract(&program, &hash).unwrap();
         let monitor = HardwareMonitor::new(graph.clone(), hash);
         for (i, (addr, node)) in graph.iter().enumerate() {
-            assert_eq!(monitor.node_hashes[i], node.hash, "hash at {addr:#x}");
-            let (start, end) = monitor.fast_spans[i];
-            let succ_addrs: Vec<u32> = monitor.fast_edges[start as usize..end as usize]
+            assert_eq!(monitor.nodes.hashes[i], node.hash, "hash at {addr:#x}");
+            let succ_addrs: Vec<u32> = monitor
+                .nodes
+                .successors(i as u32)
                 .iter()
                 .map(|&idx| graph.base() + 4 * idx)
                 .collect();
@@ -578,6 +556,160 @@ mod tests {
             want.dedup();
             assert_eq!(succ_addrs, want, "successors at {addr:#x}");
         }
+    }
+
+    /// Loads a hand-built graph through the `MonitoringGraph::to_bytes`
+    /// layout, the way a graph extraction would never produce reaches a
+    /// monitor: `(hash, successor addresses)` per node from `base` on.
+    fn loaded_graph(base: u32, bits: u8, nodes: &[(u8, Vec<u32>)]) -> MonitoringGraph {
+        let mut bytes = b"SDMG".to_vec();
+        bytes.extend_from_slice(&base.to_be_bytes());
+        bytes.push(bits);
+        bytes.extend_from_slice(&(nodes.len() as u32).to_be_bytes());
+        for (hash, successors) in nodes {
+            bytes.push(*hash);
+            bytes.extend_from_slice(&(successors.len() as u16).to_be_bytes());
+            for addr in successors {
+                bytes.extend_from_slice(&addr.to_be_bytes());
+            }
+        }
+        MonitoringGraph::from_bytes(&bytes).expect("well-formed graph")
+    }
+
+    /// Checks every cell of `monitor`'s table against one step of the
+    /// reference rule from its state's candidate set, and the state
+    /// layout: singletons first, then the empty set, then distinct,
+    /// sorted multi-candidate sets, at most `4·n` states.
+    fn assert_one_step_per_cell<H: InstructionHash>(monitor: &HardwareMonitor<H>, at: &str) {
+        let (nodes, dfa) = (&monitor.nodes, &monitor.dfa);
+        let n = nodes.hashes.len();
+        let states = dfa.starts.len() - 1;
+        assert!(states <= 4 * n, "{at}: {states} states for {n} nodes");
+        assert_eq!(dfa.next.len(), states << dfa.bits, "{at}");
+        for node in 0..n as u32 {
+            assert_eq!(dfa.set(node), [node], "{at}");
+        }
+        assert!(dfa.set(n as u32).is_empty(), "{at}");
+        let mut want = Vec::new();
+        for state in 0..states as u32 {
+            let set = dfa.set(state);
+            if state as usize > n {
+                assert!(set.len() > 1 && set.windows(2).all(|w| w[0] < w[1]), "{at}");
+                assert!(
+                    (n as u32 + 1..state).all(|s| dfa.set(s) != set),
+                    "{at}: duplicate"
+                );
+            }
+            for hash in 0..=u8::MAX >> (8 - dfa.bits) {
+                let cell = dfa.next[(state as usize) << dfa.bits | usize::from(hash)];
+                if nodes.step(set, hash, &mut want) {
+                    assert_eq!(dfa.set(cell), want, "{at} state {state} hash {hash}");
+                } else {
+                    assert_eq!(cell, REJECT, "{at} state {state} hash {hash}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transition_table_is_one_reference_step_per_cell() {
+        use crate::hash::WidthHash;
+        use sdmmon_rng::{Rng, RngCore, SeedableRng, StdRng};
+        for program in [
+            programs::ipv4_forward().unwrap(),
+            programs::ipv4_cm().unwrap(),
+            programs::vulnerable_forward().unwrap(),
+        ] {
+            for bits in [2, 4, 8] {
+                for param in [0, 0x1357_9bdf, 0xdead_beef] {
+                    let hash = WidthHash::new(param, bits);
+                    let graph = MonitoringGraph::extract(&program, &hash).unwrap();
+                    let monitor = HardwareMonitor::new(graph, hash);
+                    assert!(!monitor.dfa.next.is_empty());
+                    assert_one_step_per_cell(&monitor, &format!("{bits} bits {param:#x}"));
+                }
+            }
+        }
+        // A loaded graph whose nodes repeat successors and point outside
+        // the graph, and whose hashes need not fit the width.
+        let mut rng = StdRng::seed_from_u64(0x4D0_000B);
+        let (base, len) = (0x100u32, 12u32);
+        let outside = [base - 4, base + 4 * len, base + 2];
+        let nodes: Vec<(u8, Vec<u32>)> = (0..len)
+            .map(|i| {
+                let first = base + 4 * ((i + 1) % len);
+                let mut successors = vec![first, first];
+                for _ in 0..rng.gen_range(0..5usize) {
+                    successors.push(if rng.gen_bool(0.25) {
+                        outside[rng.gen_range(0..outside.len())]
+                    } else {
+                        base + 4 * rng.gen_range(0..len)
+                    });
+                }
+                (rng.next_u32() as u8 & 0x1f, successors)
+            })
+            .collect();
+        let monitor = HardwareMonitor::new(loaded_graph(base, 4, &nodes), MerkleTreeHash::new(0));
+        assert!(!monitor.dfa.next.is_empty());
+        assert_one_step_per_cell(&monitor, "loaded graph");
+    }
+
+    #[test]
+    fn graph_past_the_state_cap_keeps_no_table() {
+        // ipv4_forward's graph plus a gadget that remembers the last K
+        // hashes: node (q, c), hash c, stands for NFA state q of "the hash
+        // K steps back was 1" about to read c. Its subset construction
+        // reaches all 2^K histories, more than 4·n states.
+        const K: u32 = 9;
+        let program = programs::ipv4_forward().unwrap();
+        let hash = MerkleTreeHash::new(0x600D_CAFE);
+        let graph = MonitoringGraph::extract(&program, &hash).unwrap();
+        let gadget = graph.len() as u32;
+        let node = |q: u32, c: u32| graph.base() + 4 * (gadget + 2 * q + c);
+        let mut nodes: Vec<(u8, Vec<u32>)> = graph
+            .iter()
+            .map(|(_, n)| (n.hash, n.successors.clone()))
+            .collect();
+        for q in 0..=K {
+            for c in 0..2 {
+                let to: &[u32] = match (q, c) {
+                    (0, 0) => &[0],
+                    (0, _) => &[0, 1],
+                    (q, _) if q < K => &[q + 1],
+                    _ => &[],
+                };
+                let successors = to.iter().flat_map(|&t| [node(t, 0), node(t, 1)]).collect();
+                nodes.push((c as u8, successors));
+            }
+        }
+        let capped = loaded_graph(graph.base(), 4, &nodes);
+        assert!(!HardwareMonitor::new(graph, hash).dfa.next.is_empty());
+        let mut reference = HardwareMonitor::new(capped.clone(), hash);
+        let mut blockwise = HardwareMonitor::new(capped, hash);
+        assert!(blockwise.dfa.next.is_empty());
+
+        let mut core_a = Core::new();
+        let mut core_b = Core::new();
+        for core in [&mut core_a, &mut core_b] {
+            core.install(&program.to_bytes(), program.base);
+        }
+        for round in 0..2 {
+            if round == 1 {
+                // A corrupted word: a violation on both paths.
+                for core in [&mut core_a, &mut core_b] {
+                    core.memory_mut().store_u32(program.base + 40, 0).unwrap();
+                }
+            }
+            for dst in 1u8..4 {
+                let packet = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, dst], 64, b"data");
+                let want = core_a.process_packet(&packet, &mut reference);
+                assert_eq!(blockwise.run_packet(&mut core_b, &packet), want);
+                assert_eq!(blockwise.stats(), reference.stats());
+                assert_eq!(blockwise.candidate_count(), reference.candidate_count());
+            }
+        }
+        assert_eq!(reference.stats().violations, 3);
+        assert!(reference.stats().max_candidates > 1);
     }
 
     #[test]

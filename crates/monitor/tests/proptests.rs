@@ -4,7 +4,7 @@
 //!
 //! Cases are drawn from seeded [`StdRng`] streams so failures reproduce.
 
-use sdmmon_isa::asm::Assembler;
+use sdmmon_isa::asm::{Assembler, Program};
 use sdmmon_monitor::block::{BlockGraph, BlockMonitor};
 use sdmmon_monitor::graph::MonitoringGraph;
 use sdmmon_monitor::hash::{Compression, InstructionHash, MerkleTreeHash, WidthHash, BLOCK_LANES};
@@ -100,7 +100,7 @@ fn graph_serialization_round_trips_any_program() {
             .map(|_| rng.next_u32())
             .collect();
         let param = rng.next_u32();
-        let program = sdmmon_isa::asm::Program {
+        let program = Program {
             base: 0,
             words,
             symbols: Default::default(),
@@ -244,64 +244,120 @@ fn width_hash_block_path_matches_scalar() {
     }
 }
 
+/// Feeds `packets` in turn to twin cores running `program` (with the
+/// optional `(address, word)` patch applied to both) under twin monitors:
+/// one through the trait's per-instruction reference dispatch, one through
+/// the block path behind [`ExecutionObserver::run_packet`]. After every
+/// packet the outcome, the monitor statistics and the candidate-set size
+/// must agree.
+fn assert_block_path_matches<H: InstructionHash + Clone>(
+    program: &Program,
+    hash: H,
+    patch: Option<(u32, u32)>,
+    step_limit: u64,
+    packets: &[Vec<u8>],
+    case: usize,
+) {
+    let graph = MonitoringGraph::extract(program, &hash).expect("graph extracts");
+    let mut reference = HardwareMonitor::new(graph.clone(), hash.clone());
+    let mut blockwise = HardwareMonitor::new(graph, hash);
+    let [mut core_a, mut core_b] = [Core::new(), Core::new()];
+    for core in [&mut core_a, &mut core_b] {
+        core.install(&program.to_bytes(), program.base);
+        core.set_step_limit(step_limit);
+        if let Some((addr, word)) = patch {
+            core.memory_mut().store_u32(addr, word).expect("in range");
+        }
+    }
+    for (i, packet) in packets.iter().enumerate() {
+        let ref_out = core_a.process_packet(packet, &mut reference);
+        let blk_out = blockwise.run_packet(&mut core_b, packet);
+        assert_eq!(blk_out, ref_out, "case {case} packet {i} outcome");
+        assert_eq!(
+            blockwise.stats(),
+            reference.stats(),
+            "case {case} packet {i} stats"
+        );
+        assert_eq!(
+            blockwise.candidate_count(),
+            reference.candidate_count(),
+            "case {case} packet {i} candidates"
+        );
+    }
+}
+
+/// Injected code for [`testing::hijack_packet`]: up to 12 words, each a
+/// word of `program` (so its hash often matches a candidate and the walk
+/// goes on) or a random one, then `break 0`.
+fn arb_injection(rng: &mut StdRng, program: &Program) -> String {
+    let mut src = String::new();
+    for _ in 0..rng.gen_range(0..12usize) {
+        let word = if rng.gen_bool(0.6) {
+            program.words[rng.gen_range(0..program.words.len())]
+        } else {
+            rng.next_u32()
+        };
+        src.push_str(&format!(".word {word:#010x}\n"));
+    }
+    src + "break 0"
+}
+
 /// The block-verification packet path ([`ExecutionObserver::run_packet`],
 /// which retires 16-instruction blocks and hashes them bit-sliced) is
 /// observationally identical to the per-instruction reference dispatch:
 /// same verdict, halt reason, and step count, same monitor statistics and
-/// final candidate set — for random parameters, compressions, packets, and
-/// randomly corrupted binaries (so violations land at arbitrary offsets
-/// inside a block, including partial final blocks of 1..=15 instructions).
+/// final candidate set. Cases cover the three workloads under the Merkle
+/// hash with random parameters and compressions and under [`WidthHash`]
+/// at 2, 4 and 8 bits; random packets, including hijacks of the
+/// vulnerable forwarder whose violations land after the return has left
+/// several candidates; randomly corrupted binaries (so violations land at
+/// arbitrary offsets inside a block, including partial final blocks of
+/// 1..=15 instructions); and small step limits that end a run mid-block.
 #[test]
 fn block_path_is_byte_identical_to_reference_path() {
-    let program = programs::ipv4_forward().expect("workload assembles");
+    let programs = [
+        programs::ipv4_forward().expect("workload assembles"),
+        programs::ipv4_cm().expect("workload assembles"),
+        programs::vulnerable_forward().expect("workload assembles"),
+    ];
     let mut rng = StdRng::seed_from_u64(0x4D0_0009);
-    for case in 0..CASES * 2 {
+    for case in 0..CASES * 3 {
+        let program = &programs[case % programs.len()];
         let param = rng.next_u32();
-        let compression = arb_compression(&mut rng);
-        let dst = rng.gen::<u8>();
-        let ttl = rng.gen::<u8>();
-        let mut payload = vec![0u8; rng.gen_range(0..96usize)];
-        rng.fill_bytes(&mut payload);
-        let corrupt = rng.gen_bool(0.5);
-
-        let hash = MerkleTreeHash::with_compression(param, compression);
-        let graph = MonitoringGraph::extract(&program, &hash).expect("graph extracts");
-        let mut reference = HardwareMonitor::new(graph.clone(), hash);
-        let mut blockwise = HardwareMonitor::new(graph, hash);
-
-        let mut core_a = Core::new();
-        let mut core_b = Core::new();
-        core_a.install(&program.to_bytes(), program.base);
-        core_b.install(&program.to_bytes(), program.base);
-        if corrupt {
-            let word_index = rng.gen_range(0..program.words.len().min(40));
-            let bit = rng.gen_range(0..32usize);
-            let addr = program.base + 4 * word_index as u32;
-            let original = core_a.memory().load_u32(addr).expect("in range");
-            let patched = original ^ (1 << bit);
-            core_a
-                .memory_mut()
-                .store_u32(addr, patched)
-                .expect("in range");
-            core_b
-                .memory_mut()
-                .store_u32(addr, patched)
-                .expect("in range");
+        let patch = rng.gen_bool(0.3).then(|| {
+            let addr = program.base + 4 * rng.gen_range(0..program.words.len().min(40)) as u32;
+            let word = program.words[((addr - program.base) / 4) as usize];
+            (addr, word ^ (1 << rng.gen_range(0..32usize)))
+        });
+        let step_limit = if rng.gen_bool(0.2) {
+            rng.gen_range(1..300u64)
+        } else {
+            20_000
+        };
+        let packets: Vec<Vec<u8>> = (0..4)
+            .map(|_| match rng.gen_range(0..4u8) {
+                0 if case % programs.len() == 2 => {
+                    testing::hijack_packet(&arb_injection(&mut rng, program))
+                        .expect("injection assembles")
+                }
+                1 if case % programs.len() == 2 => testing::benign_options_packet(rng.gen()),
+                _ => {
+                    let mut payload = vec![0u8; rng.gen_range(0..96usize)];
+                    rng.fill_bytes(&mut payload);
+                    testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, rng.gen()], rng.gen(), &payload)
+                }
+            })
+            .collect();
+        match case / programs.len() % 4 {
+            0 => {
+                let hash = MerkleTreeHash::with_compression(param, arb_compression(&mut rng));
+                assert_block_path_matches(program, hash, patch, step_limit, &packets, case);
+            }
+            w => {
+                let hash = WidthHash::new(param, [2, 4, 8][w - 1]);
+                assert_block_path_matches(program, hash, patch, step_limit, &packets, case);
+            }
         }
-
-        let packet = testing::ipv4_packet([10, 0, 0, 1], [10, 0, 0, dst], ttl, &payload);
-        // Reference: the trait's default per-instruction observe loop.
-        let ref_out = core_a.process_packet(&packet, &mut reference);
-        // Under test: the block path behind `run_packet`.
-        let blk_out = blockwise.run_packet(&mut core_b, &packet);
-
-        assert_eq!(blk_out, ref_out, "case {case} outcome");
-        assert_eq!(blockwise.stats(), reference.stats(), "case {case} stats");
-        assert_eq!(
-            blockwise.candidate_count(),
-            reference.candidate_count(),
-            "case {case} candidates"
-        );
     }
 }
 
@@ -391,7 +447,7 @@ fn compiled_monitor_matches_a_direct_graph_walk() {
         let words = (0..rng.gen_range(1..64usize))
             .map(|_| rng.next_u32())
             .collect();
-        programs.push(sdmmon_isa::asm::Program {
+        programs.push(Program {
             base: 0,
             words,
             symbols: Default::default(),

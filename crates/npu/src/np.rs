@@ -1374,10 +1374,7 @@ pub struct StreamOutcome {
 /// cores, never zero). On a single-CPU host this is 1 — the batch path
 /// runs inline and still gets the fused per-packet dispatch.
 fn default_shards(cores: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, cores)
+    crate::engine::host_threads().clamp(1, cores)
 }
 
 /// FNV-1a over the flow key of `packet` (see
