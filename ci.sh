@@ -5,7 +5,8 @@
 # tracing <= 5% of admitted pps; exit 2 naming each gate that failed),
 # the streaming-ingest gate (byte-identical sdmmon-stream-v1 replay +
 # backpressure accounting), the trace gate (byte-identical
-# sdmmon-trace-v1 replay across runs and shard counts + span chains),
+# sdmmon-trace-v1 replay across runs and shard counts, a byte-identical
+# replay of the span and flight-recorder event stream, + span chains),
 # a bounded adversarial campaign (accounting + differential assertions,
 # deterministic per seed), an events-schema smoke (byte-identical
 # sdmmon-events-v1 replay), the v1-vs-v2 install differential, the
@@ -82,11 +83,16 @@ PYEOF
 # Trace gate: the sdmmon-trace-v1 artifact at the pinned seed must replay
 # byte-identically — across two runs AND across shard counts (the trace is
 # a pure function of seed x flow, so sharding may not leak into it) — and
-# every trace must chain parent links back to a root span. The tracing
-# overhead gate is the bench step's.
-cargo run --release --bin sdmmon -- trace --quick --out target/ci-trace-a.json
-cargo run --release --bin sdmmon -- trace --quick --out target/ci-trace-b.json
+# every trace must chain parent links back to a root span. The two
+# same-shard runs must also write byte-identical event streams: the
+# span.* and supervisor.flight events the artifact is assembled from. The
+# tracing overhead gate is the bench step's.
+cargo run --release --bin sdmmon -- trace --quick --out target/ci-trace-a.json \
+    --events target/ci-trace-a.jsonl
+cargo run --release --bin sdmmon -- trace --quick --out target/ci-trace-b.json \
+    --events target/ci-trace-b.jsonl
 cmp target/ci-trace-a.json target/ci-trace-b.json
+cmp target/ci-trace-a.jsonl target/ci-trace-b.jsonl
 for shards in 1 2 8; do
     cargo run --release --bin sdmmon -- trace --quick --shards "$shards" \
         --out "target/ci-trace-s$shards.json"

@@ -9,7 +9,9 @@
 
 use sdmmon_bench::render_table;
 use sdmmon_monitor::graph::MonitoringGraph;
-use sdmmon_monitor::hash::{InstructionHash, WidthHash};
+use sdmmon_monitor::hash::WidthHash;
+use sdmmon_monitor::HardwareMonitor;
+use sdmmon_npu::cpu::{ExecutionObserver, Observation};
 use sdmmon_npu::programs;
 use sdmmon_rng::{Rng, SeedableRng};
 
@@ -29,13 +31,12 @@ fn main() {
 
         // Empirical single-instruction escape rate: a random injected word
         // against a random graph position.
-        let addrs: Vec<u32> = graph.iter().map(|(a, _)| a).collect();
+        let (base, nodes) = (graph.base(), graph.len());
+        let mut monitor = HardwareMonitor::new(graph, hash);
         let mut hits = 0u64;
         for _ in 0..TRIALS {
-            let node = graph
-                .node(addrs[rng.gen_range(0..addrs.len())])
-                .expect("addr valid");
-            if node.hash == hash.hash(rng.gen()) {
+            monitor.begin(base + 4 * rng.gen_range(0..nodes) as u32);
+            if monitor.observe(0, rng.gen()) == Observation::Continue {
                 hits += 1;
             }
         }

@@ -3,17 +3,19 @@
 //! monitor, a 1 in 256 chance for a match for two instructions, etc." —
 //! the escape probability decreases geometrically with attack length.
 //!
-//! Methodology: random k-instruction attack sequences are checked against
-//! the monitoring graph of the IPv4 workload under random parameters,
-//! starting from a random graph position (the attacker has hijacked
-//! control and must now survive k hash comparisons). Empirical escape
-//! rates are compared with 16^-k.
+//! Methodology: random k-instruction attack sequences are checked by a
+//! `HardwareMonitor` on the monitoring graph of the IPv4 workload under
+//! random parameters, starting from a random graph position (the attacker
+//! has hijacked control and must now survive k hash comparisons).
+//! Empirical escape rates are compared with 16^-k.
 //!
 //! Run with: `cargo run --release -p sdmmon-bench --bin detection`
 
 use sdmmon_bench::render_table;
 use sdmmon_monitor::graph::MonitoringGraph;
-use sdmmon_monitor::hash::{InstructionHash, MerkleTreeHash};
+use sdmmon_monitor::hash::MerkleTreeHash;
+use sdmmon_monitor::HardwareMonitor;
+use sdmmon_npu::cpu::{ExecutionObserver, Observation};
 use sdmmon_npu::programs;
 use sdmmon_rng::{Rng, SeedableRng};
 
@@ -37,36 +39,13 @@ fn main() {
         for _ in 0..batches {
             let hash = MerkleTreeHash::new(rng.gen());
             let graph = MonitoringGraph::extract(&program, &hash).expect("graph extracts");
-            let addrs: Vec<u32> = graph.iter().map(|(a, _)| a).collect();
+            let (base, nodes) = (graph.base(), graph.len());
+            let mut monitor = HardwareMonitor::new(graph, hash);
             for _ in 0..TRIALS / batches {
-                // NFA survival: start from one random position (where the
-                // hijack landed in the monitor's candidate set).
-                let mut candidates = vec![addrs[rng.gen_range(0..addrs.len())]];
-                let mut survived = true;
-                for _ in 0..k {
-                    let observed = hash.hash(rng.gen());
-                    let mut matched = false;
-                    let mut next = Vec::new();
-                    for &c in &candidates {
-                        if let Some(node) = graph.node(c) {
-                            if node.hash == observed {
-                                matched = true;
-                                next.extend_from_slice(&node.successors);
-                            }
-                        }
-                    }
-                    if !matched {
-                        // Hash mismatch at every candidate: violation.
-                        survived = false;
-                        break;
-                    }
-                    next.sort_unstable();
-                    next.dedup();
-                    // `next` may be empty (only terminal nodes matched);
-                    // any further instruction then necessarily violates.
-                    candidates = next;
-                }
-                if survived {
+                // Start from one random position (where the hijack landed
+                // in the monitor's candidate set); survive k comparisons.
+                monitor.begin(base + 4 * rng.gen_range(0..nodes) as u32);
+                if (0..k).all(|_| monitor.observe(0, rng.gen()) == Observation::Continue) {
                     escapes += 1;
                 }
             }

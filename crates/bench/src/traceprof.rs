@@ -4,9 +4,9 @@
 //! One untimed reference pair first asserts that tracing changes neither
 //! packet outcomes nor `NpStats`. Then interleaved timed runs compare
 //! tracing-off against tracing-on throughput: both sides carry an event
-//! bus (so the delta isolates the trace layer, not event plumbing),
-//! best-of-`repeats` per side, and `sdmmon bench` fails when the overhead
-//! exceeds [`OVERHEAD_GATE_PCT`].
+//! bus, traced only on the tracing-on side (so the delta isolates the
+//! trace layer, not event plumbing), best-of-`repeats` per side, and
+//! `sdmmon bench` fails when the overhead exceeds [`OVERHEAD_GATE_PCT`].
 
 use crate::hijack::{HijackScenario, CORES};
 use crate::render_table;
@@ -122,8 +122,7 @@ pub fn run(cfg: &TraceProfConfig) -> TraceProfReport {
     let mut plain = build();
     let expected = plain.process_stream(rounds, &stream_cfg);
     let mut traced = build();
-    traced.set_event_bus(Some(Arc::new(EventBus::new())));
-    traced.set_trace(Some(tc));
+    traced.set_event_bus(Some(Arc::new(EventBus::traced(tc))));
     let got = traced.process_stream(rounds, &stream_cfg);
     assert_eq!(
         got.outcomes, expected.outcomes,
@@ -143,8 +142,7 @@ pub fn run(cfg: &TraceProfConfig) -> TraceProfReport {
         pps_off = pps_off.max(out.report.admitted as f64 / t.elapsed().as_secs_f64());
 
         let mut np = build();
-        np.set_event_bus(Some(Arc::new(EventBus::new())));
-        np.set_trace(Some(tc));
+        np.set_event_bus(Some(Arc::new(EventBus::traced(tc))));
         let t = Instant::now();
         let out = np.process_stream(rounds, &stream_cfg);
         pps_on = pps_on.max(out.report.admitted as f64 / t.elapsed().as_secs_f64());

@@ -24,7 +24,7 @@
 //! Everything is deterministic per seed: entity keys, the fault streams of
 //! origin and relays, per-router rng, and the serial relay-then-router
 //! order. The whole run replays byte-identically — report, events, spans
-//! (when [`FleetDeployConfig::trace`] is set), and quarantine accounting.
+//! (on a traced bus), and quarantine accounting.
 //!
 //! [`deploy_fleet`] and
 //! [`Fleet::deploy_resilient`](crate::system::Fleet::deploy_resilient) stay
@@ -51,7 +51,7 @@ use sdmmon_isa::asm::Program;
 use sdmmon_net::channel::{Channel, FileServer};
 use sdmmon_net::download::{DownloadClient, DownloadError, RetryPolicy};
 use sdmmon_net::resilience::{FlakyServer, LossyChannel, OutageWindow};
-use sdmmon_obs::trace::{self, TraceContext};
+use sdmmon_obs::trace;
 use sdmmon_obs::{metrics, Counter, Event, EventBus};
 use sdmmon_rng::{split_seed, RngCore, SeedableRng, StdRng};
 use std::collections::BTreeMap;
@@ -281,14 +281,6 @@ pub struct FleetDeployConfig {
     /// Keep the first N installed routers alive in the report so tests can
     /// drive traffic through them; everything else streams out of memory.
     pub keep_routers: usize,
-    /// Causal span layer: when set (and a bus is attached), the run emits
-    /// the control-plane span chain alongside the `fleet.*` events — one
-    /// `span.operator` root at clock 0, one `span.relay` per synced relay
-    /// (clock = cumulative transport attempts), and one `span.install` per
-    /// router whose trace id derives from [`trace::entity_flow`] — so
-    /// [`sdmmon_obs::assemble_traces`] links operator → relay → install per
-    /// router.
-    pub trace: Option<TraceContext>,
 }
 
 impl Default for FleetDeployConfig {
@@ -305,7 +297,6 @@ impl Default for FleetDeployConfig {
             outage: None,
             blackhole_router: None,
             keep_routers: 0,
-            trace: None,
         }
     }
 }
@@ -452,9 +443,16 @@ impl FleetScaleReport {
 
 /// Deploys one shared fleet update through the relay tree, streaming
 /// routers so memory stays O(1) in fleet size. See the module docs for the
-/// protocol and [`FleetDeployConfig`] for the knobs (including the optional
-/// span layer, [`FleetDeployConfig::trace`]). Deterministic per `seed` — a
-/// rerun replays the report and event stream byte-identically.
+/// protocol and [`FleetDeployConfig`] for the knobs. Deterministic per
+/// `seed` — a rerun replays the report and event stream byte-identically.
+///
+/// A traced bus ([`EventBus::traced`]) also receives the control-plane
+/// span chain alongside the `fleet.*` events: one `span.operator` root at
+/// clock 0, one `span.relay` per synced relay (clock = cumulative
+/// transport attempts), and one `span.install` per router whose trace id
+/// derives from [`trace::entity_flow`], so
+/// [`sdmmon_obs::assemble_traces`] links operator → relay → install per
+/// router.
 ///
 /// # Errors
 ///
@@ -473,7 +471,6 @@ pub fn deploy_fleet(
     if config.cores_each == 0 {
         return Err(SdmmonError::NoSuchCore { core: 0, cores: 0 });
     }
-    let tracing = config.trace.as_ref();
     let mut rng = StdRng::seed_from_u64(seed);
     let manufacturer = Manufacturer::new("fleet-acme", AUTHORITY_KEY_BITS, &mut rng)?;
     let mut operator = NetworkOperator::new("fleet-op", AUTHORITY_KEY_BITS, &mut rng)?;
@@ -531,7 +528,7 @@ pub fn deploy_fleet(
                 .field("package_bytes", update.package_bytes())
                 .field("cipher_sections", update.cipher_sections().len()),
         );
-        if tracing.is_some() {
+        if bus.trace().is_some() {
             metrics().inc(Counter::TraceSpans);
             bus.record(
                 Event::new(trace::KIND_SPAN_OPERATOR, 0).field("sequence", update.sequence()),
@@ -579,7 +576,7 @@ pub fn deploy_fleet(
                             .field("attempts", stats.attempts)
                             .field("bytes", stats.bytes_fetched),
                     );
-                    if tracing.is_some() {
+                    if bus.trace().is_some() {
                         metrics().inc(Counter::TraceSpans);
                         bus.record(
                             Event::new(trace::KIND_SPAN_RELAY, clock)
@@ -732,7 +729,7 @@ pub fn deploy_fleet(
                 event = event.field("error", error.as_str());
             }
             bus.record(event);
-            if let Some(tc) = tracing {
+            if let Some(tc) = bus.trace() {
                 metrics().inc(Counter::TraceSpans);
                 bus.record(
                     Event::new(trace::KIND_SPAN_INSTALL, clock)
@@ -869,6 +866,51 @@ mod tests {
             deploy_fleet(&config, &program, 5, None).unwrap_err(),
             SdmmonError::NoSuchCore { core: 0, cores: 0 }
         );
+    }
+
+    #[test]
+    fn traced_run_emits_one_span_chain_per_router() {
+        use sdmmon_obs::assemble_traces;
+        let program = programs::ipv4_forward().unwrap();
+        let mut config = base_config(6, 3);
+        config.blackhole_router = Some(2);
+        let bus = EventBus::traced(sdmmon_obs::TraceContext::new(0x5EED, 1000));
+        let report = deploy_fleet(&config, &program, 21, Some(&bus)).unwrap();
+        let events = bus.take();
+        let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count(trace::KIND_SPAN_OPERATOR), 1);
+        assert_eq!(count(trace::KIND_SPAN_RELAY), report.relays_synced);
+        assert_eq!(report.relays_synced, 3);
+        assert_eq!(count(trace::KIND_SPAN_INSTALL), 6);
+
+        // One trace per router: operator -> its relay -> its install.
+        let traces = assemble_traces(&events);
+        assert_eq!(traces.len(), 6);
+        let mut routers = Vec::new();
+        for t in &traces {
+            let [operator, relay, install] = &t.spans[..] else {
+                panic!("trace {:#x} is not a three-span chain: {:?}", t.id, t.spans);
+            };
+            assert_eq!(operator.stage, trace::STAGE_OPERATOR);
+            assert_eq!(operator.parent, 0);
+            assert_eq!(relay.stage, trace::STAGE_RELAY);
+            assert_eq!(relay.parent, operator.id);
+            assert_eq!(install.stage, trace::STAGE_INSTALL);
+            assert_eq!(install.parent, relay.id);
+            let row = &report.rows[install.entity as usize];
+            assert_eq!(relay.entity, row.relay as i64);
+            assert_eq!(install.note == "installed", row.installed);
+            routers.push(install.entity);
+        }
+        routers.sort_unstable();
+        assert_eq!(routers, [0, 1, 2, 3, 4, 5]);
+
+        // Untraced: the fleet events, and no span.
+        let bus = EventBus::new();
+        deploy_fleet(&config, &program, 21, Some(&bus)).unwrap();
+        let events = bus.take();
+        assert!(!events.is_empty());
+        assert!(events.iter().all(|e| !e.kind.starts_with("span.")));
     }
 
     #[test]

@@ -17,14 +17,6 @@ pub mod bitslice;
 /// of the bit-sliced data path (16 × 4-bit lanes fill one `u64` plane).
 pub const BLOCK_LANES: usize = 16;
 
-/// Full [`BLOCK_LANES`]-wide hash blocks the monitor verifies for a packet
-/// that retired `steps` instructions (the trailing partial block goes
-/// through the scalar path). The trace layer's `span.verify` events and
-/// the trace-driven profiler attribute block budgets with this mapping.
-pub fn full_blocks(steps: u64) -> u64 {
-    steps / BLOCK_LANES as u64
-}
-
 /// Maps a 32-bit instruction word to a short hash value.
 ///
 /// Implementations must be pure functions of `(parameter, word)` — the
@@ -41,9 +33,9 @@ pub trait InstructionHash {
     /// Hashes a full block of [`BLOCK_LANES`] instruction words.
     ///
     /// Must produce exactly `[hash(words[0]), …, hash(words[15])]`. The
-    /// default is the scalar loop; [`MerkleTreeHash`] and [`WidthHash`]
-    /// override it with the [`bitslice`] SWAR evaluation, which is what
-    /// the monitor's block-verification path consumes.
+    /// monitor's block-verification path consumes it. The default is the
+    /// scalar loop; [`MerkleTreeHash`] overrides it with the [`bitslice`]
+    /// SWAR evaluation.
     fn hash_block(&self, words: &[u32; BLOCK_LANES]) -> [u8; BLOCK_LANES] {
         let mut out = [0u8; BLOCK_LANES];
         for (o, &w) in out.iter_mut().zip(words) {
@@ -272,6 +264,9 @@ impl InstructionHash for MerkleTreeHash {
 ///   level early).
 /// * 4 bits: identical to [`MerkleTreeHash`].
 /// * 2 bits: the final node folded once more (`high ⊕ low` 2-bit halves).
+///
+/// It serves the width ablation and tests, so its block path is the
+/// trait's scalar loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WidthHash {
     inner: MerkleTreeHash,
@@ -308,21 +303,6 @@ impl InstructionHash for WidthHash {
             _ => {
                 let h = self.inner.hash(word);
                 (h >> 2) ^ (h & 0x3)
-            }
-        }
-    }
-
-    fn hash_block(&self, words: &[u32; BLOCK_LANES]) -> [u8; BLOCK_LANES] {
-        let sliced = bitslice::BitslicedMerkleHash::from_scalar(&self.inner);
-        match self.bits {
-            8 => {
-                let (a, b) = sliced.level2_block(words);
-                std::array::from_fn(|i| (a[i] << 4) | b[i])
-            }
-            4 => sliced.hash_block(words),
-            _ => {
-                let h = sliced.hash_block(words);
-                std::array::from_fn(|i| (h[i] >> 2) ^ (h[i] & 0x3))
             }
         }
     }
@@ -379,15 +359,6 @@ pub fn hamming(a: u8, b: u8) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn full_blocks_counts_complete_lanes_only() {
-        assert_eq!(full_blocks(0), 0);
-        assert_eq!(full_blocks(15), 0);
-        assert_eq!(full_blocks(16), 1);
-        assert_eq!(full_blocks(57), 3);
-        assert_eq!(full_blocks(16 * 7), 7);
-    }
 
     #[test]
     fn outputs_fit_width() {

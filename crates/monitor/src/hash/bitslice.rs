@@ -211,8 +211,7 @@ impl BitslicedMerkleHash {
         BitslicedMerkleHash::new(hash.param(), hash.compression())
     }
 
-    /// Evaluates the tree down to the two level-2 planes (the 8-bit state
-    /// the width-ablation wrappers consume).
+    /// Evaluates the tree down to the two level-2 planes, node by node.
     #[inline]
     fn level2_planes(&self, words: &[u32; BLOCK_LANES]) -> (u64, u64) {
         let c = self.compression;
@@ -264,15 +263,6 @@ impl BitslicedMerkleHash {
             }
         };
         extract(plane)
-    }
-
-    /// The two level-2 outputs per lane, for the 8-bit width ablation.
-    pub fn level2_block(
-        &self,
-        words: &[u32; BLOCK_LANES],
-    ) -> ([u8; BLOCK_LANES], [u8; BLOCK_LANES]) {
-        let (a, b) = self.level2_planes(words);
-        (extract(a), extract(b))
     }
 }
 

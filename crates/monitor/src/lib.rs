@@ -49,5 +49,5 @@ pub mod hash;
 pub mod monitor;
 
 pub use graph::MonitoringGraph;
-pub use hash::{full_blocks, BitcountHash, InstructionHash, MerkleTreeHash};
+pub use hash::{BitcountHash, InstructionHash, MerkleTreeHash};
 pub use monitor::HardwareMonitor;

@@ -23,6 +23,7 @@ use crate::hash::{InstructionHash, BLOCK_LANES};
 use sdmmon_npu::core::{BlockObserver, Core, RETIRE_BLOCK};
 use sdmmon_npu::cpu::{ExecutionObserver, Observation};
 use sdmmon_npu::runtime::PacketOutcome;
+use std::collections::HashMap;
 
 /// Transition-table cell of a hash that no candidate matches: a violation.
 const REJECT: u32 = u32::MAX;
@@ -52,7 +53,8 @@ pub struct MonitorStats {
 /// [`sdmmon_npu::core::Core`].
 #[derive(Debug, Clone)]
 pub struct HardwareMonitor<H: InstructionHash> {
-    graph: MonitoringGraph,
+    /// Address of node 0.
+    base: u32,
     hash: H,
     nodes: Nodes,
     dfa: Dfa,
@@ -101,7 +103,8 @@ impl Nodes {
 /// The candidate-set NFA compiled to a DFA over the hash alphabet. State
 /// `i < n` is the singleton `{i}`, so a state's id is its node index;
 /// state `n` is the empty set; the multi-candidate sets reachable from
-/// those follow in the order the construction finds them.
+/// those follow in the order the construction finds them, each found
+/// again through a hash of its members.
 #[derive(Debug, Clone, Default)]
 struct Dfa {
     /// Row width in bits: the hash's output width.
@@ -127,12 +130,15 @@ impl Dfa {
             members: (0..n as u32).collect(),
             starts: (0..=n as u32).chain([n as u32]).collect(),
         };
+        // The multi-candidate states by a 64-bit hash of their members.
+        let mut index = HashMap::new();
         // A singleton moves on its node's hash alone, to its successors. A
         // hash wider than the row (possible in a loaded graph) never matches.
         for node in 0..n {
             let hash = usize::from(nodes.hashes[node]);
             if hash >> bits == 0 {
-                dfa.next[node << bits | hash] = dfa.intern(nodes.successors(node as u32), n)?;
+                let successors = nodes.successors(node as u32);
+                dfa.next[node << bits | hash] = dfa.intern(successors, n, &mut index)?;
             }
         }
         // Multi-candidate rows, which may find further sets. Only the
@@ -146,7 +152,7 @@ impl Dfa {
                 let cell = state << bits | usize::from(hash);
                 if usize::from(hash) >> bits == 0 && dfa.next[cell] == REJECT {
                     nodes.step(&dfa.members[lo..hi], hash, &mut into);
-                    dfa.next[cell] = dfa.intern(&into, n)?;
+                    dfa.next[cell] = dfa.intern(&into, n, &mut index)?;
                 }
             }
             state += 1;
@@ -156,19 +162,26 @@ impl Dfa {
 
     /// The state of the sorted, deduplicated candidate `set`, added with
     /// an all-[`REJECT`] row if it is a new multi-candidate set; `None`
-    /// once the table holds `4·n` states.
-    fn intern(&mut self, set: &[u32], n: usize) -> Option<u32> {
+    /// once the table holds `4·n` states. Members are compared only where
+    /// `index` holds the set's key; a key another set holds probes the
+    /// next key.
+    fn intern(&mut self, set: &[u32], n: usize, index: &mut HashMap<u64, u32>) -> Option<u32> {
         match *set {
             [] => Some(n as u32),
             [only] => Some(only),
             _ => {
-                let states = self.starts.len() - 1;
-                if let Some(s) = (n + 1..states).find(|&s| self.set(s as u32) == set) {
-                    return Some(s as u32);
+                let mut key = set_key(set);
+                while let Some(&s) = index.get(&key) {
+                    if self.set(s) == set {
+                        return Some(s);
+                    }
+                    key = key.wrapping_add(1);
                 }
+                let states = self.starts.len() - 1;
                 if states >= 4 * n {
                     return None;
                 }
+                index.insert(key, states as u32);
                 self.members.extend_from_slice(set);
                 self.starts.push(self.members.len() as u32);
                 self.next.resize(self.next.len() + (1 << self.bits), REJECT);
@@ -181,6 +194,13 @@ impl Dfa {
         let state = state as usize;
         &self.members[self.starts[state] as usize..self.starts[state + 1] as usize]
     }
+}
+
+/// A candidate set's 64-bit key: FNV-1a over its members, a word at a time.
+fn set_key(set: &[u32]) -> u64 {
+    set.iter().fold(0xcbf2_9ce4_8422_2325, |h, &m| {
+        (h ^ u64::from(m)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 impl<H: InstructionHash> HardwareMonitor<H> {
@@ -206,6 +226,7 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             hash.output_bits(),
             "graph and hash function disagree on output width"
         );
+        let (base, len) = (graph.base(), graph.len());
         let mut nodes = Nodes::default();
         nodes.starts.push(0);
         let mut successors = Vec::new();
@@ -215,7 +236,7 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             successors.extend(
                 node.successors
                     .iter()
-                    .filter_map(|&addr| node_index(&graph, addr)),
+                    .filter_map(|&addr| node_index(base, len, addr)),
             );
             successors.sort_unstable();
             successors.dedup();
@@ -224,7 +245,7 @@ impl<H: InstructionHash> HardwareMonitor<H> {
         }
         let dfa = Dfa::build(&nodes, hash.output_bits().into()).unwrap_or_default();
         HardwareMonitor {
-            graph,
+            base,
             hash,
             nodes,
             dfa,
@@ -232,11 +253,6 @@ impl<H: InstructionHash> HardwareMonitor<H> {
             scratch: Vec::new(),
             stats: MonitorStats::default(),
         }
-    }
-
-    /// The monitoring graph installed in this monitor.
-    pub fn graph(&self) -> &MonitoringGraph {
-        &self.graph
     }
 
     /// Lifetime statistics.
@@ -251,14 +267,14 @@ impl<H: InstructionHash> HardwareMonitor<H> {
 }
 
 /// Maps an address to its dense node index, if it is a covered, aligned
-/// graph position.
-fn node_index(graph: &MonitoringGraph, addr: u32) -> Option<u32> {
-    let off = addr.wrapping_sub(graph.base());
-    if addr < graph.base() || !off.is_multiple_of(4) {
+/// position of the `len`-node graph at `base`.
+fn node_index(base: u32, len: usize, addr: u32) -> Option<u32> {
+    let off = addr.wrapping_sub(base);
+    if addr < base || !off.is_multiple_of(4) {
         return None;
     }
     let idx = off / 4;
-    ((idx as usize) < graph.len()).then_some(idx)
+    ((idx as usize) < len).then_some(idx)
 }
 
 impl<H: InstructionHash> HardwareMonitor<H> {
@@ -266,7 +282,7 @@ impl<H: InstructionHash> HardwareMonitor<H> {
     /// graph covers it.
     fn begin_impl(&mut self, entry: u32) -> Option<u32> {
         self.stats.runs += 1;
-        let node = node_index(&self.graph, entry);
+        let node = node_index(self.base, self.nodes.hashes.len(), entry);
         self.current.clear();
         self.current.extend(node);
         node
@@ -652,6 +668,52 @@ mod tests {
         let monitor = HardwareMonitor::new(loaded_graph(base, 4, &nodes), MerkleTreeHash::new(0));
         assert!(!monitor.dfa.next.is_empty());
         assert_one_step_per_cell(&monitor, "loaded graph");
+    }
+
+    #[test]
+    fn interning_probes_past_a_key_another_set_holds() {
+        // {1, 2}'s key is handed to {0, 3} first, as a hash collision would.
+        let n = 4;
+        let mut dfa = Dfa {
+            bits: 1,
+            next: vec![REJECT; (n + 1) << 1],
+            members: (0..n as u32).collect(),
+            starts: (0..=n as u32).chain([n as u32]).collect(),
+        };
+        let mut index = HashMap::new();
+        let first = dfa.intern(&[0, 3], n, &mut index).unwrap();
+        index.insert(set_key(&[1, 2]), first);
+        let second = dfa.intern(&[1, 2], n, &mut index).unwrap();
+        assert_ne!(second, first);
+        assert_eq!(dfa.set(second), [1, 2]);
+        assert_eq!(dfa.intern(&[1, 2], n, &mut index), Some(second));
+        assert_eq!(dfa.intern(&[0, 3], n, &mut index), Some(first));
+        assert_eq!(dfa.next.len(), (n + 3) << 1);
+    }
+
+    #[test]
+    fn repeated_graph_keeps_a_table() {
+        // ipv4_forward's graph 100 times over, each copy's successors
+        // moved into its own address range: 8,100 nodes, and 100 copies
+        // of every multi-candidate set for the index to tell apart.
+        let program = programs::ipv4_forward().unwrap();
+        let hash = MerkleTreeHash::new(0x1357_9bdf);
+        let graph = MonitoringGraph::extract(&program, &hash).unwrap();
+        let span = 4 * graph.len() as u32;
+        let nodes: Vec<(u8, Vec<u32>)> = (0..100)
+            .flat_map(|copy| {
+                graph.iter().map(move |(_, node)| {
+                    let moved = node.successors.iter().map(|&a| a + copy * span);
+                    (node.hash, moved.collect())
+                })
+            })
+            .collect();
+        let monitor = HardwareMonitor::new(loaded_graph(graph.base(), 4, &nodes), hash);
+        let single = HardwareMonitor::new(graph, hash);
+        let multi = |m: &HardwareMonitor<_>| m.dfa.starts.len() - 2 - m.nodes.hashes.len();
+        assert!(multi(&single) > 0);
+        assert_eq!(multi(&monitor), 100 * multi(&single));
+        assert_one_step_per_cell(&monitor, "ipv4_forward x100");
     }
 
     #[test]

@@ -223,27 +223,6 @@ fn bitsliced_block_hash_matches_scalar_all_compressions() {
     }
 }
 
-/// [`WidthHash`] block hashing agrees with its scalar path at every
-/// ablation width (2, 4, 8 bits), random parameters and words.
-#[test]
-fn width_hash_block_path_matches_scalar() {
-    let mut rng = StdRng::seed_from_u64(0x4D0_0008);
-    for _ in 0..CASES {
-        let param = rng.next_u32();
-        for width in [2, 4, 8] {
-            let hash = WidthHash::new(param, width);
-            let mut words = [0u32; BLOCK_LANES];
-            for w in &mut words {
-                *w = rng.next_u32();
-            }
-            let block = hash.hash_block(&words);
-            for (i, &w) in words.iter().enumerate() {
-                assert_eq!(block[i], hash.hash(w), "lane {i} width {width}");
-            }
-        }
-    }
-}
-
 /// Feeds `packets` in turn to twin cores running `program` (with the
 /// optional `(address, word)` patch applied to both) under twin monitors:
 /// one through the trait's per-instruction reference dispatch, one through
@@ -393,10 +372,9 @@ fn crafted_graph(base: u32, hashes: &[u8], successors: &[Vec<u32>]) -> Monitorin
     MonitoringGraph::from_bytes(&bytes).expect("well-formed graph")
 }
 
-/// One step of the direct walk over the address-keyed graph, as
-/// `campaign::escape_model_for` runs it: the union of the successors of
-/// every candidate whose hash matches, sorted and deduplicated; `None`
-/// when no candidate matches. Successors outside the graph can never
+/// One step of a direct walk over the address-keyed graph: the union of
+/// the successors of every candidate whose hash matches, sorted and
+/// deduplicated; `None` when no candidate matches. Successors outside the graph can never
 /// match a later hash, so the walk drops them, as the compiled monitor
 /// does at construction.
 fn graph_step(graph: &MonitoringGraph, candidates: &[u32], observed: u8) -> Option<Vec<u32>> {

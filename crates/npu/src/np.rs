@@ -195,7 +195,7 @@ struct Pass {
     base_clock: u64,
     /// Whether an event bus is attached (escalation events are buffered).
     record_events: bool,
-    /// Span context; `None` unless tracing is on and a bus is attached.
+    /// Span context of the attached bus, if it is traced.
     trace: Option<TraceContext>,
     path: DispatchPath,
 }
@@ -464,11 +464,9 @@ pub struct NetworkProcessor {
     pool: Option<WorkerPool>,
     /// Optional structured-event sink (see [`sdmmon_obs::EventBus`]).
     /// `None` — the default — is the no-op sink: no event is constructed
-    /// anywhere on the packet path.
+    /// anywhere on the packet path. A traced bus also carries the span
+    /// context (see [`sdmmon_obs::trace`]).
     bus: Option<Arc<EventBus>>,
-    /// Optional causal span/trace context (see [`sdmmon_obs::trace`]).
-    /// Only consulted while a bus is attached.
-    trace: Option<TraceContext>,
     /// Latched when any core receives a zeroize order (threat Critical):
     /// the control-plane signal that the NP should be pulled from service.
     /// Dispatch itself keeps working on the surviving cores — honoring the
@@ -545,7 +543,6 @@ impl NetworkProcessor {
             shards: default_shards(cores),
             pool: None,
             bus: None,
-            trace: None,
             lockdown: false,
         }
     }
@@ -554,17 +551,14 @@ impl NetworkProcessor {
     /// carry the NP's packet ordinal as their logical clock; on the batch
     /// paths they are buffered per shard and merged in packet order, so
     /// the stream is byte-identical per workload for *any* shard count.
+    ///
+    /// A traced bus ([`EventBus::traced`]) also turns on the span layer of
+    /// the batch and stream engines. Sampling and id derivation are pure
+    /// functions of `(seed, flow)` — see [`TraceContext`] — so the span
+    /// stream is byte-identical at any shard count and across the
+    /// sharded / serial-oracle paths.
     pub fn set_event_bus(&mut self, bus: Option<Arc<EventBus>>) {
         self.bus = bus;
-    }
-
-    /// Attaches (or detaches, with `None`) the deterministic span/trace
-    /// layer. Spans are emitted only while an event bus is attached;
-    /// sampling and id derivation are pure functions of `(seed, flow)` —
-    /// see [`TraceContext`] — so the span stream is byte-identical at any
-    /// shard count and across the sharded / serial-oracle paths.
-    pub fn set_trace(&mut self, trace: Option<TraceContext>) {
-        self.trace = trace;
     }
 
     /// Number of cores.
@@ -803,7 +797,10 @@ impl NetworkProcessor {
     /// Runs on the reference dispatch path and emits no trace spans: the
     /// span stream belongs to the batch and stream engines.
     pub fn process_on(&mut self, index: usize, packet: &[u8]) -> PacketOutcome {
-        let pass = self.pass(DispatchPath::Reference, None);
+        let pass = Pass {
+            trace: None,
+            ..self.pass(DispatchPath::Reference)
+        };
         let mut events = Vec::new();
         let (outcome, action) = self.slots[index].step(&pass, index, 0, 0, packet, &mut events);
         self.stats.record(&outcome);
@@ -816,15 +813,13 @@ impl NetworkProcessor {
         outcome
     }
 
-    /// The context of a pass starting at the NP's current clock. `trace`
-    /// applies only while a bus is attached.
-    fn pass(&self, path: DispatchPath, trace: Option<TraceContext>) -> Pass {
-        let record_events = self.bus.is_some();
+    /// The context of a pass starting at the NP's current clock.
+    fn pass(&self, path: DispatchPath) -> Pass {
         Pass {
             policy: self.policy,
             base_clock: self.stats.processed,
-            record_events,
-            trace: trace.filter(|_| record_events),
+            record_events: self.bus.is_some(),
+            trace: self.bus.as_ref().and_then(|bus| bus.trace()),
             path,
         }
     }
@@ -987,7 +982,7 @@ impl NetworkProcessor {
         workers: usize,
         path: DispatchPath,
     ) -> Vec<(usize, PacketOutcome)> {
-        let pass = self.pass(path, self.trace);
+        let pass = self.pass(path);
         let workers = if packets.is_empty() { 1 } else { workers };
         if workers > 1 && self.pool.as_ref().is_none_or(|p| p.len() != workers - 1) {
             self.pool = Some(WorkerPool::new(workers - 1));
@@ -1279,7 +1274,7 @@ impl NetworkProcessor {
         let mut ingress = IngressQueues::new(cores, shards, cfg.shard_capacity);
         let mut outcomes: Vec<Option<(usize, PacketOutcome)>> = Vec::new();
         let mut steals_total = 0u64;
-        let trace = if self.bus.is_some() { self.trace } else { None };
+        let trace = self.bus.as_ref().and_then(|bus| bus.trace());
         for round in rounds {
             ingress.clear_round();
             let table = self.dispatch_table();
@@ -1836,10 +1831,9 @@ mod tests {
     #[test]
     fn reinstall_forgets_flight_records_of_the_replaced_image() {
         // Nothing sampled: every packet lands in the flight ring.
-        let bus = Arc::new(EventBus::new());
+        let bus = Arc::new(EventBus::traced(TraceContext::new(7, 0)));
         let mut np = loaded_np(1);
         np.set_event_bus(Some(bus.clone()));
-        np.set_trace(Some(TraceContext::new(7, 0)));
         let attack = testing::hijack_packet("break 1").unwrap();
         // `ipv4_forward` ignores the payload: both runs are clean.
         let clean = np.process_batch(&[attack.clone(), attack.clone()]);

@@ -97,39 +97,6 @@ pub fn ewma_step(value: u64, sample: u64, shift: u32) -> u64 {
     }
 }
 
-/// A standalone fixed-point EWMA (Q48.16, `alpha = 2^-shift`). The
-/// supervisor inlines the same arithmetic via [`ewma_step`]; this type is
-/// the unit under test and the building block for harness-side baselines
-/// (e.g. the frontier's latency tracking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ewma {
-    value: u64,
-    shift: u32,
-}
-
-impl Ewma {
-    /// A zeroed EWMA with smoothing `alpha = 2^-shift`.
-    pub const fn new(shift: u32) -> Ewma {
-        Ewma { value: 0, shift }
-    }
-
-    /// Folds one sample and returns the new Q48.16 value.
-    pub fn update(&mut self, sample: u64) -> u64 {
-        self.value = ewma_step(self.value, sample, self.shift);
-        self.value
-    }
-
-    /// The raw Q48.16 value.
-    pub const fn raw(&self) -> u64 {
-        self.value
-    }
-
-    /// The integer part (value `>> FRAC_BITS`).
-    pub const fn level(&self) -> u64 {
-        self.value >> FRAC_BITS
-    }
-}
-
 /// Threat classification of one core, ordered by severity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ThreatLevel {
@@ -563,36 +530,36 @@ mod tests {
     fn ewma_matches_hand_computed_sequence() {
         // alpha = 1/4 over a constant 100: 25, 43.75, 57.8125 — exactly
         // representable in Q48.16.
-        let mut e = Ewma::new(2);
-        assert_eq!(e.update(100), 25 << FRAC_BITS);
-        assert_eq!(e.update(100), (43 << FRAC_BITS) + (3 << FRAC_BITS) / 4);
-        assert_eq!(e.update(100), (57 << FRAC_BITS) + (13 << FRAC_BITS) / 16);
-        assert_eq!(e.level(), 57);
+        let e = ewma_step(0, 100, 2);
+        assert_eq!(e, 25 << FRAC_BITS);
+        let e = ewma_step(e, 100, 2);
+        assert_eq!(e, (43 << FRAC_BITS) + (3 << FRAC_BITS) / 4);
+        let e = ewma_step(e, 100, 2);
+        assert_eq!(e, (57 << FRAC_BITS) + (13 << FRAC_BITS) / 16);
+        assert_eq!(e >> FRAC_BITS, 57);
     }
 
     #[test]
     fn ewma_decays_toward_zero() {
-        let mut e = Ewma::new(1);
-        e.update(64);
-        assert_eq!(e.level(), 32);
-        e.update(0);
-        assert_eq!(e.level(), 16);
-        e.update(0);
-        assert_eq!(e.level(), 8);
+        let e = ewma_step(0, 64, 1);
+        assert_eq!(e >> FRAC_BITS, 32);
+        let e = ewma_step(e, 0, 1);
+        assert_eq!(e >> FRAC_BITS, 16);
+        let e = ewma_step(e, 0, 1);
+        assert_eq!(e >> FRAC_BITS, 8);
     }
 
     #[test]
     fn ewma_saturates_at_extremes_without_panicking() {
-        let mut e = Ewma::new(0);
-        assert_eq!(e.update(u64::MAX), u64::MAX, "shift 0 tracks the sample");
-        let mut e = Ewma::new(1);
-        for _ in 0..200 {
-            e.update(u64::MAX);
-        }
-        assert_eq!(e.raw(), u64::MAX, "saturates instead of wrapping");
+        assert_eq!(
+            ewma_step(0, u64::MAX, 0),
+            u64::MAX,
+            "shift 0 tracks the sample"
+        );
+        let e = (0..200).fold(0, |e, _| ewma_step(e, u64::MAX, 1));
+        assert_eq!(e, u64::MAX, "saturates instead of wrapping");
         // And a saturated value decays cleanly once samples drop.
-        e.update(0);
-        assert!(e.raw() < u64::MAX);
+        assert!(ewma_step(e, 0, 1) < u64::MAX);
     }
 
     #[test]

@@ -218,13 +218,14 @@ fn reset_equals_fresh_install() {
     }
 }
 
-/// Replaying the same sample sequence through the fixed-point EWMA gives
-/// the same fixed-point state, independent of when the replay happens —
-/// the filter is a pure fold, which is what lets the graded supervisor
-/// promise byte-identical threat streams across shard counts.
+/// Folding the same sample sequence through `ewma_step`, the supervisor's
+/// fixed-point EWMA step, gives the same fixed-point state, independent of
+/// when the replay happens — the filter is a pure fold, which is what lets
+/// the graded supervisor promise byte-identical threat streams across
+/// shard counts.
 #[test]
 fn ewma_is_a_deterministic_fold() {
-    use sdmmon_npu::supervisor::Ewma;
+    use sdmmon_npu::supervisor::ewma_step;
     let mut rng = StdRng::seed_from_u64(0x4B0_0007);
     for _ in 0..CASES {
         let shift = rng.gen_range(1..16u32);
@@ -232,15 +233,8 @@ fn ewma_is_a_deterministic_fold() {
         let samples: Vec<u64> = (0..n)
             .map(|_| rng.next_u64() >> rng.gen_range(0..64))
             .collect();
-        let mut a = Ewma::new(shift);
-        let mut b = Ewma::new(shift);
-        for &s in &samples {
-            a.update(s);
-        }
-        for &s in &samples {
-            b.update(s);
-        }
-        assert_eq!(a.raw(), b.raw(), "same fold, same fixed-point state");
+        let fold = || samples.iter().fold(0, |e, &s| ewma_step(e, s, shift));
+        assert_eq!(fold(), fold(), "same fold, same fixed-point state");
     }
 }
 
@@ -249,19 +243,19 @@ fn ewma_is_a_deterministic_fold() {
 /// value bounded by the largest sample seen.
 #[test]
 fn ewma_never_overflows_under_extreme_samples() {
-    use sdmmon_npu::supervisor::{ewma_step, Ewma};
+    use sdmmon_npu::supervisor::ewma_step;
     let mut rng = StdRng::seed_from_u64(0x4B0_0008);
     for _ in 0..CASES {
         let shift = rng.gen_range(1..16u32);
-        let mut filter = Ewma::new(shift);
+        let mut filter = 0;
         for _ in 0..rng.gen_range(1..128usize) {
             let sample = if rng.gen_range(0..4) == 0 {
                 u64::MAX
             } else {
                 rng.next_u64()
             };
-            let before = filter.raw();
-            filter.update(sample);
+            let before = filter;
+            filter = ewma_step(filter, sample, shift);
             // Monotone step: the new state sits between the old state and
             // the (saturated) sample's fixed-point image.
             let target = sample.saturating_mul(1 << 16);
@@ -271,7 +265,7 @@ fn ewma_never_overflows_under_extreme_samples() {
                 (target, before)
             };
             assert!(
-                (lo..=hi.saturating_add(1 << shift)).contains(&filter.raw()),
+                (lo..=hi.saturating_add(1 << shift)).contains(&filter),
                 "EWMA left the [state, sample] envelope"
             );
         }
@@ -284,23 +278,21 @@ fn ewma_never_overflows_under_extreme_samples() {
 /// then holds it exactly (the filter is idempotent at its fixed point).
 #[test]
 fn ewma_converges_to_constant_input() {
-    use sdmmon_npu::supervisor::Ewma;
+    use sdmmon_npu::supervisor::{ewma_step, FRAC_BITS};
     let mut rng = StdRng::seed_from_u64(0x4B0_0009);
     for _ in 0..CASES {
         let shift = rng.gen_range(1..8u32);
         let constant = rng.gen_range(0..1_000_000u64);
-        let mut filter = Ewma::new(shift);
-        for _ in 0..10_000 {
-            filter.update(constant);
-        }
-        let settled = filter.raw();
-        filter.update(constant);
-        assert_eq!(filter.raw(), settled, "fixed point is exact");
+        let settled = (0..10_000).fold(0, |e, _| ewma_step(e, constant, shift));
+        assert_eq!(
+            ewma_step(settled, constant, shift),
+            settled,
+            "fixed point is exact"
+        );
+        let level = settled >> FRAC_BITS;
         assert!(
-            filter.level().abs_diff(constant) <= 1,
-            "settled level {} strays from constant {}",
-            filter.level(),
-            constant
+            level.abs_diff(constant) <= 1,
+            "settled level {level} strays from constant {constant}"
         );
     }
 }

@@ -4,8 +4,8 @@
 //!   to [`NetworkProcessor::process_batch_serial`] — outcomes *and*
 //!   [`NpStats`] — for every shard count and seed, including a seed that
 //!   drives the supervisor through redeploy and quarantine mid-batch.
-//! * Traced determinism: with an event bus and a [`TraceContext`] at
-//!   sampling rates 0, 200 and 1000 per mille, the sharded engine emits
+//! * Traced determinism: with an event bus traced by a [`TraceContext`]
+//!   at sampling rates 0, 200 and 1000 per mille, the sharded engine emits
 //!   the serial oracle's event stream — supervisor events, spans, and
 //!   flight promotions — event for event.
 //! * Flow affinity: a 5-tuple never crosses shards, per-flow order is
@@ -139,10 +139,9 @@ fn traced_sharded_batch_emits_the_serial_event_stream() {
         for per_mille in [0u16, 200, 1000] {
             // `None` runs the serial oracle; `Some(n)` the engine at n shards.
             let run = |shards: Option<usize>| {
-                let bus = Arc::new(EventBus::new());
+                let bus = Arc::new(EventBus::traced(TraceContext::new(seed, per_mille)));
                 let mut np = loaded_np(policy);
                 np.set_event_bus(Some(bus.clone()));
-                np.set_trace(Some(TraceContext::new(seed, per_mille)));
                 let outcomes: Vec<_> = batches
                     .iter()
                     .map(|packets| match shards {

@@ -6,7 +6,7 @@
 //!   the same shard count: outcomes, [`NpStats`], *and* the supervisor
 //!   event stream, for shard counts 1/2/4/8 and multiple seeds including
 //!   one that escalates cores through redeploy and quarantine mid-stream.
-//!   With a [`TraceContext`] at 0, 200 and 1000 per mille the two paths
+//!   With a bus traced at 0, 200 and 1000 per mille the two paths
 //!   also emit one event stream — admission and execution spans and
 //!   flight promotions included — event for event. At nonzero rates that
 //!   stream ingests sampled packets, admits no more than it ingests, and
@@ -211,11 +211,10 @@ fn traced_streaming_emits_the_serial_event_stream() {
             };
             for shards in SHARD_COUNTS {
                 let run = |serial: bool| {
-                    let bus = Arc::new(EventBus::new());
+                    let bus = Arc::new(EventBus::traced(TraceContext::new(seed, per_mille)));
                     let mut np = loaded_np(policy);
                     np.set_shards(shards);
                     np.set_event_bus(Some(bus.clone()));
-                    np.set_trace(Some(TraceContext::new(seed, per_mille)));
                     let got = if serial {
                         np.process_stream_serial(&traffic, &cfg)
                     } else {

@@ -11,6 +11,7 @@
 //! seed regardless of scheduling.
 
 use crate::json::write_json_string;
+use crate::trace::TraceContext;
 use std::sync::Mutex;
 
 /// Schema identifier stamped on every rendered event line (bump on layout
@@ -129,7 +130,8 @@ impl Event {
     }
 }
 
-/// The shared event sink: an append-only, mutex-guarded event list.
+/// The shared event sink: an append-only, mutex-guarded event list, and
+/// the span/trace context its producers emit `span.*` events under.
 ///
 /// The bus itself does no ordering magic — determinism is the *producers'*
 /// contract (record on deterministic paths, or buffer per worker and
@@ -139,12 +141,27 @@ impl Event {
 #[derive(Debug, Default)]
 pub struct EventBus {
     events: Mutex<Vec<Event>>,
+    trace: Option<TraceContext>,
 }
 
 impl EventBus {
-    /// An empty bus.
+    /// An empty, untraced bus: producers record their events but no span.
     pub fn new() -> EventBus {
         EventBus::default()
+    }
+
+    /// An empty bus whose producers also emit the causal span layer under
+    /// `trace` (see [`crate::trace`]).
+    pub fn traced(trace: TraceContext) -> EventBus {
+        EventBus {
+            trace: Some(trace),
+            ..EventBus::default()
+        }
+    }
+
+    /// The span/trace context of a traced bus.
+    pub fn trace(&self) -> Option<TraceContext> {
+        self.trace
     }
 
     /// Appends one event.

@@ -90,9 +90,10 @@ fn mix64(mut x: u64) -> u64 {
 const SALT_TRACE_ID: u64 = 0x7ace_1d00_5d00_0001;
 const SALT_SAMPLER: u64 = 0x5a3d_93b1_c0ff_ee01;
 
-/// Deterministic sampling + id-derivation context, propagated through the
-/// streaming engine, the sharded batch engine, the monitor block path,
-/// and `deploy_fleet`. `Copy`, so workers carry it by value.
+/// Deterministic sampling + id-derivation context. A traced
+/// [`EventBus`](crate::EventBus) carries it into the streaming engine, the
+/// sharded batch engine and `deploy_fleet`. `Copy`, so workers carry it
+/// by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The run seed the ids and the sampler are derived from.

@@ -12,10 +12,11 @@ use sdmmon_core::package::InstallationBundle;
 use sdmmon_core::system::{craft_evasive_hijack, Fleet};
 use sdmmon_core::SdmmonError;
 use sdmmon_monitor::hash::Compression;
-use sdmmon_monitor::{InstructionHash, MerkleTreeHash, MonitoringGraph};
+use sdmmon_monitor::{HardwareMonitor, MerkleTreeHash, MonitoringGraph};
 use sdmmon_net::channel::{Channel, FileServer};
 use sdmmon_net::download::{DownloadClient, DownloadError, RetryPolicy};
 use sdmmon_net::resilience::FlakyServer;
+use sdmmon_npu::cpu::{ExecutionObserver, Observation};
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::runtime::{HaltReason, PacketOutcome, Verdict};
 use sdmmon_rng::{Rng, RngCore, SeedableRng, StdRng};
@@ -722,11 +723,11 @@ pub fn resilient_deploy(
 }
 
 /// The paper's §2.1 detection model at campaign scale: `trials` random
-/// `k_max`-instruction deviations tracked through the monitoring NFA
-/// (candidate-set semantics, exactly as the hardware monitor resolves
-/// ambiguity). Returns one row per `k` in `1..=k_max`; escapes at depth
-/// `k` required `k` consecutive 4-bit hash collisions, so the observed
-/// rate should track `16^-k`.
+/// `k_max`-instruction deviations checked by a [`HardwareMonitor`] on the
+/// graph (its candidate-set rule resolves branch ambiguity). Returns one
+/// row per `k` in `1..=k_max`; escapes at depth `k` required `k`
+/// consecutive 4-bit hash collisions, so the observed rate should track
+/// `16^-k`.
 pub fn escape_model(trials: u64, k_max: u32, seed: u64) -> Vec<EscapeRow> {
     escape_model_for(Compression::SumMod16, trials, k_max, seed)
 }
@@ -747,31 +748,18 @@ pub fn escape_model_for(
     let program = programs::ipv4_forward().expect("embedded workload assembles");
     let hash = MerkleTreeHash::with_compression(rng.gen(), compression);
     let graph = MonitoringGraph::extract(&program, &hash).expect("graph extracts");
-    let addrs: Vec<u32> = graph.iter().map(|(a, _)| a).collect();
+    let (base, nodes) = (graph.base(), graph.len());
+    let mut monitor = HardwareMonitor::new(graph, hash);
     let mut escapes = vec![0u64; k_max as usize];
     for _ in 0..trials {
         // The deviation starts while the monitor tracks some valid node.
-        let mut candidates = vec![addrs[rng.gen_range(0..addrs.len())]];
+        monitor.begin(base + 4 * rng.gen_range(0..nodes) as u32);
         for slot in escapes.iter_mut() {
             // One injected (uniformly random) instruction word retires.
-            let observed = hash.hash(rng.gen());
-            let mut next = Vec::new();
-            let mut matched = false;
-            for &c in &candidates {
-                if let Some(node) = graph.node(c) {
-                    if node.hash == observed {
-                        matched = true;
-                        next.extend_from_slice(&node.successors);
-                    }
-                }
-            }
-            if !matched {
+            if monitor.observe(0, rng.gen()) == Observation::Violation {
                 break;
             }
             *slot += 1;
-            next.sort_unstable();
-            next.dedup();
-            candidates = next;
         }
     }
     escapes
@@ -887,6 +875,20 @@ mod tests {
             assert_eq!(linear, 2, "linear compression transfers everywhere");
         }
         assert!(out.tally.escaped >= 1);
+    }
+
+    #[test]
+    fn escape_model_golden_rows() {
+        for (compression, want) in [
+            (Compression::SumMod16, [1192, 72, 4, 0]),
+            (Compression::SipRound, [1236, 80, 4, 0]),
+        ] {
+            let escapes: Vec<u64> = escape_model_for(compression, 20_000, 4, 0x6E5)
+                .iter()
+                .map(|row| row.escapes)
+                .collect();
+            assert_eq!(escapes, want, "{compression:?}");
+        }
     }
 
     #[test]

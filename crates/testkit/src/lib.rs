@@ -27,8 +27,7 @@
 //! [`report::run_campaign`] composes all three into a [`report::CampaignReport`]
 //! whose JSON rendering ([`json`]) contains no wall-clock values — two runs
 //! with the same seed produce byte-identical reports. The `sdmmon campaign`
-//! CLI subcommand and the `detection_sweep` bench binary are thin wrappers
-//! around it.
+//! CLI subcommand is a thin wrapper around it.
 //!
 //! # Examples
 //!

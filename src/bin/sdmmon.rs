@@ -1348,14 +1348,12 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     // for the artifact being invariant across shard counts.
     const CAPACITY: usize = 512;
 
-    let tc = TraceContext::new(seed, sample as u16);
     // The same hijack scenario as `sdmmon stream`, so the trace artifact
     // describes the traffic the streaming gate already pins.
     let scenario = HijackScenario::new(seed, round_count);
-    let bus = Arc::new(EventBus::new());
+    let bus = Arc::new(EventBus::traced(TraceContext::new(seed, sample as u16)));
     let mut np = scenario.np(shards);
     np.set_event_bus(Some(bus.clone()));
-    np.set_trace(Some(tc));
     let cfg = StreamConfig {
         shard_capacity: CAPACITY,
     };
@@ -1374,7 +1372,6 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         routers: if quick { 4 } else { 8 },
         relays: 2,
         key_pool: 4,
-        trace: Some(tc),
         ..FleetDeployConfig::default()
     };
     let fleet = deploy_fleet(&fleet_cfg, &scenario.program, seed ^ 0xF1EE7, Some(&bus))

@@ -155,9 +155,8 @@ fn traced_stream_events(seed: u64, shards: usize, per_mille: u16) -> Vec<Event> 
         Box::new(NullObserver)
     });
     np.set_shards(shards);
-    let bus = Arc::new(EventBus::new());
+    let bus = Arc::new(EventBus::traced(TraceContext::new(seed, per_mille)));
     np.set_event_bus(Some(bus.clone()));
-    np.set_trace(Some(TraceContext::new(seed, per_mille)));
     let packets = traffic(seed, 160);
     let rounds: Vec<Vec<Vec<u8>>> = packets.chunks(40).map(<[_]>::to_vec).collect();
     let out = np.process_stream(
@@ -243,9 +242,8 @@ fn traced_streams_satisfy_the_stream_validator() {
         Box::new(NullObserver)
     });
     np.set_shards(4);
-    let bus = Arc::new(EventBus::new());
+    let bus = Arc::new(EventBus::traced(TraceContext::new(0x5EED_0002, 200)));
     np.set_event_bus(Some(bus.clone()));
-    np.set_trace(Some(TraceContext::new(0x5EED_0002, 200)));
     let packets = traffic(0x5EED_0002, 160);
     let rounds: Vec<Vec<Vec<u8>>> = packets.chunks(40).map(<[_]>::to_vec).collect();
     np.process_stream(
