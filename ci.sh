@@ -4,9 +4,12 @@
 # (sharded engine >= serial, bit-sliced sip hash >= 4x scalar, sampled
 # tracing <= 5% of admitted pps; exit 2 naming each gate that failed),
 # the streaming-ingest gate (byte-identical sdmmon-stream-v1 replay +
-# backpressure accounting), the trace gate (byte-identical
-# sdmmon-trace-v1 replay across runs and shard counts, a byte-identical
-# replay of the span and flight-recorder event stream, + span chains),
+# backpressure accounting), a long-stream smoke (a 200-round stream that
+# quarantines every core ends cleanly, replays byte-identically and keeps
+# its books), the trace gate (byte-identical sdmmon-trace-v1 replay
+# across runs and shard counts, a byte-identical replay of the span and
+# flight-recorder event stream, + span chains whose values are not the
+# zeros a renamed span key would leave),
 # a bounded adversarial campaign (accounting + differential assertions,
 # deterministic per seed), an events-schema smoke (byte-identical
 # sdmmon-events-v1 replay), the v1-vs-v2 install differential, the
@@ -80,12 +83,35 @@ print(f"stream ok: {report['admitted']}/{report['offered']} admitted, "
       f"{report['steals']} steals, p999 delay {report['queue_delay_p999']}")
 PYEOF
 
+# Long-stream smoke: past about 30 rounds the hijack scenario's ladder has
+# quarantined every core for good. The rounds no core can take must drop
+# (not panic), the run must replay byte-identically, and the books must
+# balance: offered == admitted + dropped, and every admitted packet ran.
+cargo run --release --bin sdmmon -- stream --rounds 200 \
+    --out target/ci-stream-long-a.json
+cargo run --release --bin sdmmon -- stream --rounds 200 \
+    --out target/ci-stream-long-b.json
+cmp target/ci-stream-long-a.json target/ci-stream-long-b.json
+python3 - target/ci-stream-long-a.json <<'PYEOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["admitted"] + report["dropped"] == report["offered"], report
+assert report["dropped"] > 0, report
+assert report["np"]["processed"] == report["admitted"], report
+print(f"long stream ok: {report['admitted']}/{report['offered']} admitted, "
+      f"{report['np']['quarantined_cores']} cores quarantined")
+PYEOF
+
 # Trace gate: the sdmmon-trace-v1 artifact at the pinned seed must replay
 # byte-identically — across two runs AND across shard counts (the trace is
 # a pure function of seed x flow, so sharding may not leak into it) — and
 # every trace must chain parent links back to a root span. The two
 # same-shard runs must also write byte-identical event streams: the
-# span.* and supervisor.flight events the artifact is assembled from. The
+# span.* and supervisor.flight events the artifact is assembled from.
+# Replays agree even when a value is wrong, so the span values are
+# checked too: every packet span names its core, every verify span
+# retired instructions and halted with a known label, every respond note
+# names an action and a level, and every relay sync took an attempt. The
 # tracing overhead gate is the bench step's.
 cargo run --release --bin sdmmon -- trace --quick --out target/ci-trace-a.json \
     --events target/ci-trace-a.jsonl
@@ -116,6 +142,15 @@ for trace in report["traces"]:
         assert span["id"] != 0, span
         if span["parent"]:
             assert span["parent"] in ids, (trace["id"], span)
+        if span["stage"] in ("admission", "dispatch", "verify", "respond"):
+            assert span["entity"] >= 0, span
+        if span["stage"] == "verify":
+            assert span["cost"] > 0, span
+            assert span["note"] in ("clean", "violation", "fault"), span
+        if span["stage"] == "respond":
+            assert "?" not in span["note"], span
+        if span["stage"] == "relay":
+            assert span["cost"] > 0, span
     clocks = [(span["clock"], stage_order[span["stage"]]) for span in spans]
     assert clocks == sorted(clocks), trace["id"]
 flights = [t for t in report["traces"] if not t["sampled"]]

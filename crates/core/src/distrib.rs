@@ -51,7 +51,7 @@ use sdmmon_isa::asm::Program;
 use sdmmon_net::channel::{Channel, FileServer};
 use sdmmon_net::download::{DownloadClient, DownloadError, RetryPolicy};
 use sdmmon_net::resilience::{FlakyServer, LossyChannel, OutageWindow};
-use sdmmon_obs::trace;
+use sdmmon_obs::trace::{self, Span};
 use sdmmon_obs::{metrics, Counter, Event, EventBus};
 use sdmmon_rng::{split_seed, RngCore, SeedableRng, StdRng};
 use std::collections::BTreeMap;
@@ -530,9 +530,8 @@ pub fn deploy_fleet(
         );
         if bus.trace().is_some() {
             metrics().inc(Counter::TraceSpans);
-            bus.record(
-                Event::new(trace::KIND_SPAN_OPERATOR, 0).field("sequence", update.sequence()),
-            );
+            let sequence = update.sequence();
+            bus.record(Span::Operator { sequence }.event(0));
         }
     }
 
@@ -578,11 +577,8 @@ pub fn deploy_fleet(
                     );
                     if bus.trace().is_some() {
                         metrics().inc(Counter::TraceSpans);
-                        bus.record(
-                            Event::new(trace::KIND_SPAN_RELAY, clock)
-                                .field("relay", r)
-                                .field("attempts", stats.attempts),
-                        );
+                        let (relay, attempts) = (r as u64, stats.attempts);
+                        bus.record(Span::Relay { relay, attempts }.event(clock));
                     }
                 }
             }
@@ -732,12 +728,14 @@ pub fn deploy_fleet(
             if let Some(tc) = bus.trace() {
                 metrics().inc(Counter::TraceSpans);
                 bus.record(
-                    Event::new(trace::KIND_SPAN_INSTALL, clock)
-                        .field("trace", tc.trace_id(trace::entity_flow("router", i as u64)))
-                        .field("router", i)
-                        .field("relay", relay)
-                        .field("cycles", row.cycles)
-                        .field("installed", row.installed),
+                    Span::Install {
+                        trace: tc.trace_id(trace::entity_flow("router", i as u64)),
+                        router: i as u64,
+                        relay: relay as u64,
+                        cycles: u64::from(row.cycles),
+                        installed: row.installed,
+                    }
+                    .event(clock),
                 );
             }
         }
@@ -870,18 +868,21 @@ mod tests {
 
     #[test]
     fn traced_run_emits_one_span_chain_per_router() {
-        use sdmmon_obs::assemble_traces;
+        use sdmmon_obs::{assemble_traces, Stage};
         let program = programs::ipv4_forward().unwrap();
         let mut config = base_config(6, 3);
         config.blackhole_router = Some(2);
         let bus = EventBus::traced(sdmmon_obs::TraceContext::new(0x5EED, 1000));
         let report = deploy_fleet(&config, &program, 21, Some(&bus)).unwrap();
         let events = bus.take();
-        let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
-        assert_eq!(count(trace::KIND_SPAN_OPERATOR), 1);
-        assert_eq!(count(trace::KIND_SPAN_RELAY), report.relays_synced);
+        let count = |of: fn(&Span) -> bool| events.iter().filter_map(|e| e.span).filter(of).count();
+        assert_eq!(count(|s| matches!(s, Span::Operator { .. })), 1);
+        assert_eq!(
+            count(|s| matches!(s, Span::Relay { .. })),
+            report.relays_synced
+        );
         assert_eq!(report.relays_synced, 3);
-        assert_eq!(count(trace::KIND_SPAN_INSTALL), 6);
+        assert_eq!(count(|s| matches!(s, Span::Install { .. })), 6);
 
         // One trace per router: operator -> its relay -> its install.
         let traces = assemble_traces(&events);
@@ -891,14 +892,16 @@ mod tests {
             let [operator, relay, install] = &t.spans[..] else {
                 panic!("trace {:#x} is not a three-span chain: {:?}", t.id, t.spans);
             };
-            assert_eq!(operator.stage, trace::STAGE_OPERATOR);
+            assert_eq!(operator.stage, Stage::Operator);
             assert_eq!(operator.parent, 0);
-            assert_eq!(relay.stage, trace::STAGE_RELAY);
+            assert_eq!(relay.stage, Stage::Relay);
             assert_eq!(relay.parent, operator.id);
-            assert_eq!(install.stage, trace::STAGE_INSTALL);
+            assert_eq!(install.stage, Stage::Install);
             assert_eq!(install.parent, relay.id);
             let row = &report.rows[install.entity as usize];
             assert_eq!(relay.entity, row.relay as i64);
+            assert!(relay.cost > 0, "a relay sync takes transport attempts");
+            assert_eq!(install.cost, u64::from(row.cycles));
             assert_eq!(install.note == "installed", row.installed);
             routers.push(install.entity);
         }
@@ -910,7 +913,7 @@ mod tests {
         deploy_fleet(&config, &program, 21, Some(&bus)).unwrap();
         let events = bus.take();
         assert!(!events.is_empty());
-        assert!(events.iter().all(|e| !e.kind.starts_with("span.")));
+        assert!(events.iter().all(|e| e.span.is_none()));
     }
 
     #[test]

@@ -343,6 +343,13 @@ impl IngressQueues {
         Some(delay)
     }
 
+    /// Drops `packets` offered while no core can take them (every core
+    /// quarantined), counting each as offered and dropped.
+    pub(crate) fn refuse(&mut self, packets: usize) {
+        self.offered += packets as u64;
+        self.dropped += packets as u64;
+    }
+
     /// The per-core queues of admitted input indices.
     pub fn queues(&self) -> &[Vec<usize>] {
         &self.queues

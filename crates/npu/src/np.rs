@@ -32,7 +32,7 @@ use crate::cpu::{ExecutionObserver, NullObserver};
 use crate::engine::{dispatch_slots, shard_of, shard_spans, steal_plan, IngressQueues, WorkerPool};
 use crate::runtime::{HaltReason, PacketOutcome};
 use crate::supervisor::{CoreHealth, Parole, SupervisorAction, SupervisorPolicy};
-use sdmmon_obs::trace::{self, TraceContext};
+use sdmmon_obs::trace::{Span, TraceContext};
 use sdmmon_obs::{metrics, Counter, Event, EventBus, Gauge, Hist};
 use std::collections::VecDeque;
 use std::fmt;
@@ -346,25 +346,23 @@ impl Slot {
         events: &mut Vec<Event>,
     ) {
         let flow = flow_hash(packet);
-        let trace_id = tc.trace_id(flow);
+        let trace = tc.trace_id(flow);
+        let core = core as u64;
         let halt = halt_label(&outcome.halt);
         let escalated = action.is_some_and(|a| a > SupervisorAction::Recover);
         let m = metrics();
         if tc.sampled(flow) {
             m.add(Counter::TraceSpans, 2);
+            events.push(Span::Dispatch { trace, core, qpos }.event(clock));
             events.push(
-                Event::new(trace::KIND_SPAN_DISPATCH, clock)
-                    .field("trace", trace_id)
-                    .field("core", core)
-                    .field("qpos", qpos),
-            );
-            events.push(
-                Event::new(trace::KIND_SPAN_VERIFY, clock)
-                    .field("trace", trace_id)
-                    .field("core", core)
-                    .field("steps", outcome.steps)
-                    .field("blocks", outcome.steps / RETIRE_BLOCK as u64)
-                    .field("halt", halt),
+                Span::Verify {
+                    trace,
+                    core,
+                    steps: outcome.steps,
+                    blocks: outcome.steps / RETIRE_BLOCK as u64,
+                    halt,
+                }
+                .event(clock),
             );
         } else {
             while self.flight.len() >= TraceContext::DEFAULT_FLIGHT_WINDOW {
@@ -392,15 +390,17 @@ impl Slot {
                 });
                 for (index, r) in promoted.iter().enumerate() {
                     events.push(
-                        Event::new(trace::KIND_FLIGHT, clock)
-                            .field("trace", trace_id)
-                            .field("core", core)
-                            .field("flow", r.flow)
-                            .field("window_index", index)
-                            .field("at", r.at)
-                            .field("delay", r.delay)
-                            .field("steps", r.steps)
-                            .field("halt", r.halt),
+                        Span::Flight {
+                            trace,
+                            core,
+                            flow: r.flow,
+                            window_index: index as u64,
+                            at: r.at,
+                            delay: r.delay,
+                            steps: r.steps,
+                            halt: r.halt,
+                        }
+                        .event(clock),
                     );
                 }
             }
@@ -409,11 +409,13 @@ impl Slot {
             let action = action.expect("escalated implies an action");
             m.inc(Counter::TraceSpans);
             events.push(
-                Event::new(trace::KIND_SPAN_RESPOND, clock)
-                    .field("trace", trace_id)
-                    .field("core", core)
-                    .field("action", action.name())
-                    .field("level", self.health.threat.name()),
+                Span::Respond {
+                    trace,
+                    core,
+                    action: action.name(),
+                    level: self.health.threat.name(),
+                }
+                .event(clock),
             );
         }
     }
@@ -1158,48 +1160,30 @@ impl NetworkProcessor {
             m.inc(Counter::StreamOffered);
             let flow = flow_hash(packet);
             let core = table[(flow % table.len() as u64) as usize];
-            let span = trace
+            let sampled = trace
                 .filter(|tc| tc.sampled(flow))
                 .map(|tc| tc.trace_id(flow));
             let clock = base_clock + admitted.len() as u64;
-            if let Some(trace_id) = span {
-                m.inc(Counter::TraceSpans);
-                events.push(
-                    Event::new(trace::KIND_SPAN_INGEST, clock)
-                        .field("trace", trace_id)
-                        .field("flow", flow),
-                );
+            let offered = ingress.offer(core, admitted.len());
+            if let Some(trace) = sampled {
+                m.add(Counter::TraceSpans, 2);
+                events.push(Span::Ingest { trace, flow }.event(clock));
+                let admit = Span::Admit {
+                    trace,
+                    core: core as u64,
+                    delay: offered.unwrap_or(0),
+                    admitted: offered.is_some(),
+                };
+                events.push(admit.event(clock));
             }
-            match ingress.offer(core, admitted.len()) {
+            match offered {
                 Some(delay) => {
                     m.inc(Counter::StreamAdmitted);
                     m.observe(Hist::StreamQueueDelay, delay);
-                    if let Some(trace_id) = span {
-                        m.inc(Counter::TraceSpans);
-                        events.push(
-                            Event::new(trace::KIND_SPAN_ADMIT, clock)
-                                .field("trace", trace_id)
-                                .field("core", core)
-                                .field("delay", delay)
-                                .field("admitted", true),
-                        );
-                    }
                     offer_index.push(global);
                     admitted.push(packet.clone());
                 }
-                None => {
-                    m.inc(Counter::StreamDropped);
-                    if let Some(trace_id) = span {
-                        m.inc(Counter::TraceSpans);
-                        events.push(
-                            Event::new(trace::KIND_SPAN_ADMIT, clock)
-                                .field("trace", trace_id)
-                                .field("core", core)
-                                .field("delay", 0u64)
-                                .field("admitted", false),
-                        );
-                    }
-                }
+                None => m.inc(Counter::StreamDropped),
             }
         }
         (admitted, offer_index)
@@ -1229,13 +1213,19 @@ impl NetworkProcessor {
     /// the shard count: per-shard budgets partition differently, so runs at
     /// different shard counts are each pinned to their own serial oracle.)
     ///
+    /// A round that starts with every core quarantined admits nothing: its
+    /// packets count as offered and dropped, and one
+    /// `stream.no_active_core` event (clocked at the processed count)
+    /// records how many. The round still closes its batch, so parole
+    /// clocks tick and a paroled core rejoins the next round.
+    ///
     /// Returns one entry per offered packet in offer order — `None` if the
     /// packet was dropped at admission — plus the backpressure accounting.
     ///
     /// # Panics
     ///
-    /// Panics if a selected core has no program installed, if every core is
-    /// quarantined, or if `cfg.shard_capacity` is zero.
+    /// Panics if a selected core has no program installed, or if
+    /// `cfg.shard_capacity` is zero.
     pub fn process_stream(&mut self, rounds: &[Vec<Vec<u8>>], cfg: &StreamConfig) -> StreamOutcome {
         self.stream(rounds, cfg, DispatchPath::Fused)
     }
@@ -1277,6 +1267,19 @@ impl NetworkProcessor {
         let trace = self.bus.as_ref().and_then(|bus| bus.trace());
         for round in rounds {
             ingress.clear_round();
+            if self.slots.iter().all(|s| s.health.quarantined) {
+                let dropped = round.len();
+                ingress.refuse(dropped);
+                outcomes.resize(outcomes.len() + dropped, None);
+                metrics().add(Counter::StreamOffered, dropped as u64);
+                metrics().add(Counter::StreamDropped, dropped as u64);
+                if let Some(bus) = &self.bus {
+                    let event = Event::new("stream.no_active_core", self.stats.processed);
+                    bus.record(event.field("dropped", dropped));
+                }
+                self.finish_batch();
+                continue;
+            }
             let table = self.dispatch_table();
             let mut trace_events: Vec<Event> = Vec::new();
             let (admitted, offer_index) = Self::admit_round(
@@ -1848,7 +1851,7 @@ mod tests {
         let flights: Vec<Event> = bus
             .take()
             .into_iter()
-            .filter(|e| e.kind == trace::KIND_FLIGHT)
+            .filter(|e| matches!(e.span, Some(Span::Flight { .. })))
             .collect();
         assert_eq!(flights.len(), 1, "stale flight records: {flights:?}");
         assert_eq!(flights[0].clock, 2);
@@ -1874,5 +1877,37 @@ mod tests {
         assert!(np.is_throttled(0), "quarantine paroles to throttled first");
         np.process_batch(&[]);
         assert!(!np.is_throttled(0));
+    }
+
+    #[test]
+    fn stream_rounds_without_an_active_core_drop_and_tick_parole() {
+        let mut np = graded_np(
+            1,
+            AdaptiveConfig {
+                parole_batches: 1,
+                ..AdaptiveConfig::default()
+            },
+        );
+        hammer_until(&mut np, 0, 16, |np| np.is_quarantined(0));
+        let clock = np.stats().processed;
+        let bus = Arc::new(EventBus::new());
+        np.set_event_bus(Some(bus.clone()));
+        let good = testing::ipv4_packet([10, 4, 0, 1], [10, 0, 0, 2], 64, b"");
+        let rounds = vec![vec![good; 3]; 3];
+        let out = np.process_stream(&rounds, &StreamConfig::default());
+        // As with empty batches, round 1 burns the dirty-batch flag and
+        // round 2 paroles the core, so round 3 runs on it.
+        let report = out.report;
+        assert_eq!((report.offered, report.admitted, report.dropped), (9, 3, 6));
+        assert!(out.outcomes[..6].iter().all(Option::is_none));
+        assert!(out.outcomes[6..].iter().all(Option::is_some));
+        let refused: Vec<(u64, Vec<(&str, sdmmon_obs::Value)>)> = bus
+            .take()
+            .into_iter()
+            .filter(|e| e.kind == "stream.no_active_core")
+            .map(|e| (e.clock, e.fields))
+            .collect();
+        let round = vec![("dropped", sdmmon_obs::Value::U64(3))];
+        assert_eq!(refused, vec![(clock, round.clone()), (clock, round)]);
     }
 }

@@ -1,6 +1,8 @@
 //! The NP's two books agree: for hardware-monitored traffic through every
 //! data-plane entry point plus an operator reset, the process-wide `np_*`
-//! metrics equal the [`NpStats`] counters they shadow.
+//! metrics equal the [`NpStats`] counters they shadow. The stream pass
+//! runs on a traced bus, and the `trace_*` metrics equal the span events
+//! it recorded.
 //!
 //! The metrics registry is process-wide and this file is its own test
 //! binary with a single test, so nothing else adds to the counters and the
@@ -13,7 +15,9 @@ use sdmmon_monitor::hash::MerkleTreeHash;
 use sdmmon_monitor::monitor::HardwareMonitor;
 use sdmmon_npu::np::{NetworkProcessor, StreamConfig};
 use sdmmon_npu::programs::{self, testing};
-use sdmmon_obs::{metrics, Counter};
+use sdmmon_obs::{metrics, Counter, EventBus, Span, TraceContext};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 #[test]
 fn np_metrics_equal_np_stats_across_entry_points() {
@@ -41,8 +45,11 @@ fn np_metrics_equal_np_stats_across_entry_points() {
         .collect();
 
     np.process_batch(&traffic);
+    let bus = Arc::new(EventBus::traced(TraceContext::new(0x5EED, 200)));
+    np.set_event_bus(Some(bus.clone()));
     let rounds = [traffic.clone(), traffic.clone()];
     np.process_stream(&rounds, &StreamConfig { shard_capacity: 24 });
+    np.set_event_bus(None);
     for packet in &traffic[..8] {
         np.process_on(1, packet);
     }
@@ -66,5 +73,29 @@ fn np_metrics_equal_np_stats_across_entry_points() {
         m.counter(Counter::NpRecoveries),
         stats.recoveries,
         "np_recoveries"
+    );
+
+    // Span books: every `span.*` event is one `trace_spans` count, and
+    // each promotion flushes its flight events at one (clock, core).
+    let mut spans = 0u64;
+    let mut promotions = BTreeSet::new();
+    for event in bus.take() {
+        match event.span {
+            Some(Span::Flight { core, .. }) => {
+                promotions.insert((event.clock, core));
+            }
+            Some(_) => spans += 1,
+            None => {}
+        }
+    }
+    assert!(
+        spans > 0 && !promotions.is_empty(),
+        "the stream traced nothing"
+    );
+    assert_eq!(m.counter(Counter::TraceSpans), spans, "trace_spans");
+    assert_eq!(
+        m.counter(Counter::TraceFlightPromotions),
+        promotions.len() as u64,
+        "trace_flight_promotions"
     );
 }

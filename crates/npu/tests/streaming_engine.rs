@@ -21,10 +21,7 @@ use sdmmon_npu::cpu::NullObserver;
 use sdmmon_npu::np::{NetworkProcessor, StreamConfig};
 use sdmmon_npu::programs::{self, testing};
 use sdmmon_npu::supervisor::SupervisorPolicy;
-use sdmmon_obs::trace::{
-    KIND_FLIGHT, KIND_SPAN_ADMIT, KIND_SPAN_DISPATCH, KIND_SPAN_INGEST, KIND_SPAN_VERIFY,
-};
-use sdmmon_obs::{Event, EventBus, TraceContext, Value};
+use sdmmon_obs::{Event, EventBus, Span, TraceContext};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
 use std::sync::Arc;
 
@@ -157,40 +154,36 @@ fn streaming_is_byte_identical_to_serial_for_all_shard_counts_and_seeds() {
     }
 }
 
-/// An event's unsigned field (`trace`, `steps`, …).
-fn u64_field(event: &Event, key: &str) -> u64 {
-    match event.fields.iter().find(|(k, _)| *k == key) {
-        Some((_, Value::U64(n))) => *n,
-        other => panic!("{} has no unsigned `{key}`: {other:?}", event.kind),
-    }
-}
-
 /// The span books of a sampled stream: it emits ingest spans, admits no
 /// more sampled packets than it ingested, and verifies every dispatched
 /// sampled packet exactly once, with at least one retired instruction.
 fn check_span_books(events: &[Event], context: &str) {
-    let count = |kind| events.iter().filter(|e| e.kind == kind).count();
-    let ingest = count(KIND_SPAN_INGEST);
+    let count = |of: fn(&Span) -> bool| events.iter().filter_map(|e| e.span).filter(of).count();
+    let ingest = count(|s| matches!(s, Span::Ingest { .. }));
     assert!(ingest > 0, "no ingest spans: {context}");
-    assert!(count(KIND_SPAN_ADMIT) <= ingest, "{context}");
+    assert!(
+        count(|s| matches!(s, Span::Admit { .. })) <= ingest,
+        "{context}"
+    );
     // A packet is its (ordinal, trace) pair.
-    let packets = |kind| {
-        let mut keys: Vec<(u64, u64)> = events
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| (e.clock, u64_field(e, "trace")))
-            .collect();
-        keys.sort_unstable();
-        keys
-    };
+    let mut dispatched = Vec::new();
+    let mut verified = Vec::new();
+    for event in events {
+        match event.span {
+            Some(Span::Dispatch { trace, .. }) => dispatched.push((event.clock, trace)),
+            Some(Span::Verify { trace, steps, .. }) => {
+                assert!(steps > 0, "{event:?}: {context}");
+                verified.push((event.clock, trace));
+            }
+            _ => {}
+        }
+    }
+    dispatched.sort_unstable();
+    verified.sort_unstable();
     assert_eq!(
-        packets(KIND_SPAN_VERIFY),
-        packets(KIND_SPAN_DISPATCH),
+        verified, dispatched,
         "not one verify span per dispatch span: {context}"
     );
-    for verify in events.iter().filter(|e| e.kind == KIND_SPAN_VERIFY) {
-        assert!(u64_field(verify, "steps") > 0, "{verify:?}: {context}");
-    }
 }
 
 #[test]
@@ -204,10 +197,12 @@ fn traced_streaming_emits_the_serial_event_stream() {
     for (seed, burst) in SEEDS {
         let traffic = rounds(seed, 6, 60, burst);
         for (rate, per_mille) in [0u16, 200, 1000].into_iter().enumerate() {
-            let traced_kind = if per_mille == 0 {
-                KIND_FLIGHT
-            } else {
-                KIND_SPAN_INGEST
+            // Flight promotions carry the trace at 0 per mille, ingest
+            // spans above it.
+            let traced = |e: &Event| match e.span {
+                Some(Span::Flight { .. }) => per_mille == 0,
+                Some(Span::Ingest { .. }) => per_mille > 0,
+                _ => false,
             };
             for shards in SHARD_COUNTS {
                 let run = |serial: bool| {
@@ -230,7 +225,7 @@ fn traced_streaming_emits_the_serial_event_stream() {
                 };
                 let context = format!("{shards} shards, seed {seed:#x}, per-mille {per_mille}");
                 let want = run(true);
-                carried[rate] |= want.2.iter().any(|e| e.kind == traced_kind);
+                carried[rate] |= want.2.iter().any(traced);
                 if per_mille > 0 {
                     check_span_books(&want.2, &context);
                 }

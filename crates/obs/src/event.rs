@@ -11,7 +11,7 @@
 //! seed regardless of scheduling.
 
 use crate::json::write_json_string;
-use crate::trace::TraceContext;
+use crate::trace::{Span, TraceContext};
 use std::sync::Mutex;
 
 /// Schema identifier stamped on every rendered event line (bump on layout
@@ -23,8 +23,6 @@ pub const EVENTS_SCHEMA: &str = "sdmmon-events-v1";
 pub enum Value {
     /// Unsigned counter / ordinal.
     U64(u64),
-    /// Signed quantity.
-    I64(i64),
     /// Short label (router name, outcome kind, error text).
     Str(String),
     /// Boolean flag.
@@ -46,12 +44,6 @@ impl From<usize> for Value {
 impl From<u32> for Value {
     fn from(v: u32) -> Value {
         Value::U64(v as u64)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Value {
-        Value::I64(v)
     }
 }
 
@@ -84,6 +76,9 @@ pub struct Event {
     pub clock: u64,
     /// Flat fields, rendered in insertion order.
     pub fields: Vec<(&'static str, Value)>,
+    /// The typed record of a span event ([`Span::event`]), rendered
+    /// before `fields`; `None` for every other kind.
+    pub span: Option<Span>,
 }
 
 impl Event {
@@ -93,6 +88,7 @@ impl Event {
             kind,
             clock,
             fields: Vec::new(),
+            span: None,
         }
     }
 
@@ -104,7 +100,8 @@ impl Event {
 
     /// Renders the single JSONL line for this event with stream sequence
     /// number `seq`. The first three keys (`schema`, `seq`, `clock`) are
-    /// fixed; `kind` and the typed fields follow in insertion order.
+    /// fixed; `kind` follows, then a span's record fields in declaration
+    /// order, then `fields` in insertion order.
     pub fn render_line(&self, seq: u64) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"schema\":");
@@ -114,16 +111,21 @@ impl Event {
             self.clock
         ));
         write_json_string(&mut out, self.kind);
-        for (key, value) in &self.fields {
+        let mut field = |key: &str, value: &Value| {
             out.push(',');
             write_json_string(&mut out, key);
             out.push(':');
             match value {
                 Value::U64(v) => out.push_str(&v.to_string()),
-                Value::I64(v) => out.push_str(&v.to_string()),
                 Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
                 Value::Str(v) => write_json_string(&mut out, v),
             }
+        };
+        if let Some(span) = self.span {
+            span.for_each_field(|key, value| field(key, &value));
+        }
+        for (key, value) in &self.fields {
+            field(key, value);
         }
         out.push('}');
         out

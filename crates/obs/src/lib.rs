@@ -25,7 +25,9 @@
 //!   clock-ordered merges, and [`assemble_traces`] to rebuild
 //!   ingest → admission → dispatch → verify → respond chains (and the
 //!   fleet-side operator → relay → install chains) byte-identically at
-//!   any shard count.
+//!   any shard count. [`Span`] declares every span event's kind and typed
+//!   fields once, for its producers and the assembler alike; [`Stage`]
+//!   orders the assembled spans.
 //!
 //! This crate sits below every other `sdmmon-*` crate (it depends on
 //! nothing), which is why it carries its own minimal JSON rendering
@@ -46,4 +48,6 @@ pub use metrics::{
     bucket_bounds, bucket_index, metrics, percentile, Counter, Gauge, Hist, MetricsRegistry,
     HIST_BUCKETS, MAX_SHARD_SLOTS, METRICS_SCHEMA,
 };
-pub use trace::{assemble_traces, span_id, Trace, TraceContext, TraceSpan, TRACE_SCHEMA};
+pub use trace::{
+    assemble_traces, span_id, Span, Stage, Trace, TraceContext, TraceSpan, TRACE_SCHEMA,
+};

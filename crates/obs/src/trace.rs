@@ -8,6 +8,13 @@
 //! exact same per-worker buffers and clock-ordered merges the supervisor
 //! stream already uses — no second transport, no new determinism rules.
 //!
+//! One declaration owns that record: [`Span`] lists each kind once, with
+//! its typed fields in rendering order. Producers build its variants,
+//! [`Span::event`] carries one on an event, which renders its fields
+//! (each key is the field's name), and [`assemble_traces`] matches them,
+//! so no span key is spelled twice. [`Stage`] names the stages of the
+//! assembled spans in causal order.
+//!
 //! Everything is a pure function of `(seed, flow id)`:
 //!
 //! * [`TraceContext::trace_id`] derives a stable 64-bit trace id from the
@@ -33,46 +40,118 @@ use crate::event::{Event, Value};
 /// `sdmmon trace` (bump on layout changes).
 pub const TRACE_SCHEMA: &str = "sdmmon-trace-v1";
 
-/// Data-plane span stages, in causal order. The fleet-side stages
-/// ([`STAGE_OPERATOR`] … [`STAGE_INSTALL`]) mirror the control plane.
-pub const STAGE_INGEST: &str = "ingest";
-/// Bounded per-shard admission (cost = packets ahead in the core queue).
-pub const STAGE_ADMISSION: &str = "admission";
-/// Shard dispatch onto the owning core (cost = position in the core's
-/// run queue this round).
-pub const STAGE_DISPATCH: &str = "dispatch";
-/// Monitored execution (cost = retired instructions; `blocks` counts the
-/// full 16-lane hash blocks the bit-sliced monitor verified).
-pub const STAGE_VERIFY: &str = "verify";
-/// Graded supervisor response to an unclean halt.
-pub const STAGE_RESPOND: &str = "respond";
-/// Fleet-side root: the operator preparing one shared update.
-pub const STAGE_OPERATOR: &str = "operator";
-/// Fleet-side relay sync (cost = transport attempts).
-pub const STAGE_RELAY: &str = "relay";
-/// Fleet-side per-router install (cost = deploy cycles).
-pub const STAGE_INSTALL: &str = "install";
+/// Declares [`Span`]: one variant per span event kind, with its kind
+/// string and its typed fields in rendering order. A field's name is its
+/// key.
+macro_rules! span_schema {
+    ($($(#[$doc:meta])* $variant:ident => $kind:literal { $($field:ident: $ty:ty),+ },)+) => {
+        /// One record of the causal span layer, as its producer builds it
+        /// and [`assemble_traces`] reads it. `trace` fields are
+        /// [`TraceContext::trace_id`]s; `core`, `relay` and `router` are
+        /// indices.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Span {
+            $($(#[$doc])* $variant { $($field: $ty),+ },)+
+        }
 
-/// Event kinds the trace layer emits. They are ordinary
-/// `sdmmon-events-v1` lines; `assemble_traces` turns them back into span
-/// chains.
-pub const KIND_SPAN_INGEST: &str = "span.ingest";
-/// Admission decision for a sampled flow's packet.
-pub const KIND_SPAN_ADMIT: &str = "span.admit";
-/// Core dispatch of a sampled flow's packet.
-pub const KIND_SPAN_DISPATCH: &str = "span.dispatch";
-/// Monitored execution of a sampled flow's packet.
-pub const KIND_SPAN_VERIFY: &str = "span.verify";
-/// Graded response linked to the triggering packet's verify span.
-pub const KIND_SPAN_RESPOND: &str = "span.respond";
-/// Retroactive flight-recorder promotion of an unsampled flow.
-pub const KIND_FLIGHT: &str = "supervisor.flight";
-/// Fleet-side operator root span.
-pub const KIND_SPAN_OPERATOR: &str = "span.operator";
-/// Fleet-side relay sync span.
-pub const KIND_SPAN_RELAY: &str = "span.relay";
-/// Fleet-side router install span.
-pub const KIND_SPAN_INSTALL: &str = "span.install";
+        impl Span {
+            /// The record as an `sdmmon-events-v1` event at `clock`. The
+            /// event renders the record's fields in declaration order.
+            pub fn event(self, clock: u64) -> Event {
+                let kind = match self {
+                    $(Span::$variant { .. } => $kind,)+
+                };
+                Event {
+                    span: Some(self),
+                    ..Event::new(kind, clock)
+                }
+            }
+
+            /// Calls `f` with each field's key and value, in declaration
+            /// order.
+            pub(crate) fn for_each_field(self, mut f: impl FnMut(&'static str, Value)) {
+                match self {
+                    $(Span::$variant { $($field),+ } => {
+                        $(f(stringify!($field), Value::from($field));)+
+                    })+
+                }
+            }
+        }
+    };
+}
+
+span_schema! {
+    /// A sampled packet offered at ingress; `flow` is its flow-affinity
+    /// hash.
+    Ingest => "span.ingest" { trace: u64, flow: u64 },
+    /// A sampled packet's admission decision: the core its flow maps to,
+    /// the packets ahead of it in that core's queue, and whether the
+    /// shard's round budget admitted it.
+    Admit => "span.admit" { trace: u64, core: u64, delay: u64, admitted: bool },
+    /// A sampled packet's dispatch at position `qpos` of its core's run
+    /// queue.
+    Dispatch => "span.dispatch" { trace: u64, core: u64, qpos: u64 },
+    /// A sampled packet's monitored run: retired instructions, full
+    /// 16-lane hash blocks, and how it halted (`clean` / `violation` /
+    /// `fault`).
+    Verify => "span.verify" { trace: u64, core: u64, steps: u64, blocks: u64, halt: &'static str },
+    /// The graded supervisor response on a sampled or promoted flow.
+    Respond => "span.respond" { trace: u64, core: u64, action: &'static str, level: &'static str },
+    /// One flight-recorder packet of a flagged flow, promoted at the
+    /// detection clock: its place in the promoted window, its own packet
+    /// clock `at`, its run-queue position, retired instructions and halt.
+    Flight => "supervisor.flight" {
+        trace: u64, core: u64, flow: u64, window_index: u64, at: u64, delay: u64, steps: u64,
+        halt: &'static str
+    },
+    /// The fleet-side root: the operator preparing update `sequence`.
+    Operator => "span.operator" { sequence: u64 },
+    /// One relay's sync of the shared update, in transport attempts.
+    Relay => "span.relay" { relay: u64, attempts: u64 },
+    /// One router's install through `relay` after `cycles` deploy cycles.
+    Install => "span.install" { trace: u64, router: u64, relay: u64, cycles: u64, installed: bool },
+}
+
+/// The stage of an assembled span, in causal order: at one clock the
+/// fleet-side chain sorts before the data-plane chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Stage {
+    /// Fleet-side root: the operator preparing one shared update (cost =
+    /// update sequence).
+    Operator,
+    /// Fleet-side relay sync (cost = transport attempts).
+    Relay,
+    /// Fleet-side per-router install (cost = deploy cycles).
+    Install,
+    /// A sampled packet offered at ingress.
+    Ingest,
+    /// Bounded per-shard admission (cost = packets ahead in the core
+    /// queue).
+    Admission,
+    /// Shard dispatch onto the owning core (cost = position in the core's
+    /// run queue this round).
+    Dispatch,
+    /// Monitored execution (cost = retired instructions).
+    Verify,
+    /// Graded supervisor response to an unclean halt.
+    Respond,
+}
+
+impl Stage {
+    /// The stage's label in the trace artifact, hashed into [`span_id`].
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Operator => "operator",
+            Stage::Relay => "relay",
+            Stage::Install => "install",
+            Stage::Ingest => "ingest",
+            Stage::Admission => "admission",
+            Stage::Dispatch => "dispatch",
+            Stage::Verify => "verify",
+            Stage::Respond => "respond",
+        }
+    }
+}
 
 /// SplitMix64 finalizer — the avalanche step used for id derivation and
 /// sampling. Bijective, so distinct flows keep distinct trace ids.
@@ -129,11 +208,11 @@ impl TraceContext {
     }
 }
 
-/// Stable span id: FNV-1a over `(trace, clock, stage)`. Every consumer —
-/// emitter, flight promotion, assembler — derives the same id from the
-/// same coordinates, so retroactively promoted spans link into the same
-/// chains head-sampled spans would have formed.
-pub fn span_id(trace: u64, clock: u64, stage: &str) -> u64 {
+/// Stable span id: FNV-1a over `(trace, clock, stage name)`. Every
+/// consumer — emitter, flight promotion, assembler — derives the same id
+/// from the same coordinates, so retroactively promoted spans link into
+/// the same chains head-sampled spans would have formed.
+pub fn span_id(trace: u64, clock: u64, stage: Stage) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |byte: u8| {
         h ^= u64::from(byte);
@@ -145,7 +224,7 @@ pub fn span_id(trace: u64, clock: u64, stage: &str) -> u64 {
     for b in clock.to_be_bytes() {
         eat(b);
     }
-    for b in stage.as_bytes() {
+    for b in stage.name().as_bytes() {
         eat(*b);
     }
     h.max(1)
@@ -169,8 +248,8 @@ pub struct TraceSpan {
     pub id: u64,
     /// Parent span id, `0` for a root span.
     pub parent: u64,
-    /// Stage label (one of the `STAGE_*` constants).
-    pub stage: &'static str,
+    /// The span's stage.
+    pub stage: Stage,
     /// Logical clock the span is anchored at.
     pub clock: u64,
     /// Executing core / relay / router index, `-1` when not applicable.
@@ -181,6 +260,29 @@ pub struct TraceSpan {
     pub cost: u64,
     /// Short outcome note (`clean` / `violation` / action name / …).
     pub note: String,
+}
+
+impl TraceSpan {
+    /// The `stage` span of `trace` anchored at `clock`, parented on the
+    /// span of the same trace at `parent`'s `(clock, stage)`, or a root.
+    fn link(
+        trace: u64,
+        (clock, stage): (u64, Stage),
+        parent: Option<(u64, Stage)>,
+        entity: Option<u64>,
+        cost: u64,
+        note: impl Into<String>,
+    ) -> TraceSpan {
+        TraceSpan {
+            id: span_id(trace, clock, stage),
+            parent: parent.map_or(0, |(clock, stage)| span_id(trace, clock, stage)),
+            stage,
+            clock,
+            entity: entity.map_or(-1, |e| e as i64),
+            cost,
+            note: note.into(),
+        }
+    }
 }
 
 /// One assembled trace: a flow (or fleet entity) and its span chain in
@@ -198,48 +300,10 @@ pub struct Trace {
     pub spans: Vec<TraceSpan>,
 }
 
-fn field_u64(event: &Event, key: &str) -> Option<u64> {
-    event
-        .fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            Value::U64(n) => Some(*n),
-            Value::I64(n) => u64::try_from(*n).ok(),
-            Value::Bool(b) => Some(u64::from(*b)),
-            Value::Str(_) => None,
-        })
-}
-
-fn field_str<'e>(event: &'e Event, key: &str) -> Option<&'e str> {
-    event
-        .fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-}
-
-fn stage_rank(stage: &str) -> u8 {
-    match stage {
-        STAGE_OPERATOR => 0,
-        STAGE_RELAY => 1,
-        STAGE_INSTALL => 2,
-        STAGE_INGEST => 3,
-        STAGE_ADMISSION => 4,
-        STAGE_DISPATCH => 5,
-        STAGE_VERIFY => 6,
-        STAGE_RESPOND => 7,
-        _ => 8,
-    }
-}
-
 /// Reassembles span chains from an event stream.
 ///
-/// Consumes the `span.*` / `supervisor.flight` events out of a recorded
-/// stream (other kinds are ignored) and groups them into [`Trace`]s:
+/// Matches the [`Span`] records of a recorded stream (other events are
+/// ignored) and groups them into [`Trace`]s:
 ///
 /// * head-sampled data-plane spans link ingest → admission → dispatch →
 ///   verify per packet clock, with `span.respond` parented on the
@@ -262,17 +326,10 @@ pub fn assemble_traces(events: &[Event]) -> Vec<Trace> {
     let mut operator: Option<(u64, u64)> = None; // (clock, sequence)
     let mut relays: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // relay -> (clock, attempts)
     for event in events {
-        match event.kind {
-            KIND_SPAN_OPERATOR => {
-                operator = Some((event.clock, field_u64(event, "sequence").unwrap_or(0)));
-            }
-            KIND_SPAN_RELAY => {
-                if let Some(relay) = field_u64(event, "relay") {
-                    relays.insert(
-                        relay,
-                        (event.clock, field_u64(event, "attempts").unwrap_or(0)),
-                    );
-                }
+        match event.span {
+            Some(Span::Operator { sequence }) => operator = Some((event.clock, sequence)),
+            Some(Span::Relay { relay, attempts }) => {
+                relays.insert(relay, (event.clock, attempts));
             }
             _ => {}
         }
@@ -294,218 +351,115 @@ pub fn assemble_traces(events: &[Event]) -> Vec<Trace> {
     };
 
     for event in events {
+        let Some(span) = event.span else { continue };
         let clock = event.clock;
-        match event.kind {
-            KIND_SPAN_INGEST => {
-                let trace = field_u64(event, "trace").unwrap_or(0);
-                let flow = field_u64(event, "flow").unwrap_or(0);
-                push(
-                    trace,
-                    flow,
-                    true,
-                    TraceSpan {
-                        id: span_id(trace, clock, STAGE_INGEST),
-                        parent: 0,
-                        stage: STAGE_INGEST,
-                        clock,
-                        entity: -1,
-                        cost: 0,
-                        note: String::new(),
-                    },
-                );
+        match span {
+            Span::Ingest { trace, flow } => {
+                let span = TraceSpan::link(trace, (clock, Stage::Ingest), None, None, 0, "");
+                push(trace, flow, true, span);
             }
-            KIND_SPAN_ADMIT => {
-                let trace = field_u64(event, "trace").unwrap_or(0);
-                let admitted = field_u64(event, "admitted").unwrap_or(1) == 1;
-                push(
-                    trace,
-                    0,
-                    true,
-                    TraceSpan {
-                        id: span_id(trace, clock, STAGE_ADMISSION),
-                        parent: span_id(trace, clock, STAGE_INGEST),
-                        stage: STAGE_ADMISSION,
-                        clock,
-                        entity: field_u64(event, "core").map_or(-1, |c| c as i64),
-                        cost: field_u64(event, "delay").unwrap_or(0),
-                        note: if admitted { "admitted" } else { "dropped" }.to_owned(),
-                    },
-                );
+            Span::Admit {
+                trace,
+                core,
+                delay,
+                admitted,
+            } => {
+                let note = if admitted { "admitted" } else { "dropped" };
+                let parent = Some((clock, Stage::Ingest));
+                let at = (clock, Stage::Admission);
+                let span = TraceSpan::link(trace, at, parent, Some(core), delay, note);
+                push(trace, 0, true, span);
             }
-            KIND_SPAN_DISPATCH => {
-                let trace = field_u64(event, "trace").unwrap_or(0);
-                push(
-                    trace,
-                    0,
-                    true,
-                    TraceSpan {
-                        id: span_id(trace, clock, STAGE_DISPATCH),
-                        parent: span_id(trace, clock, STAGE_ADMISSION),
-                        stage: STAGE_DISPATCH,
-                        clock,
-                        entity: field_u64(event, "core").map_or(-1, |c| c as i64),
-                        cost: field_u64(event, "qpos").unwrap_or(0),
-                        note: String::new(),
-                    },
-                );
+            Span::Dispatch { trace, core, qpos } => {
+                let parent = Some((clock, Stage::Admission));
+                let at = (clock, Stage::Dispatch);
+                let span = TraceSpan::link(trace, at, parent, Some(core), qpos, "");
+                push(trace, 0, true, span);
             }
-            KIND_SPAN_VERIFY => {
-                let trace = field_u64(event, "trace").unwrap_or(0);
-                push(
-                    trace,
-                    0,
-                    true,
-                    TraceSpan {
-                        id: span_id(trace, clock, STAGE_VERIFY),
-                        parent: span_id(trace, clock, STAGE_DISPATCH),
-                        stage: STAGE_VERIFY,
-                        clock,
-                        entity: field_u64(event, "core").map_or(-1, |c| c as i64),
-                        cost: field_u64(event, "steps").unwrap_or(0),
-                        note: field_str(event, "halt").unwrap_or("").to_owned(),
-                    },
-                );
+            Span::Verify {
+                trace,
+                core,
+                steps,
+                halt,
+                ..
+            } => {
+                let parent = Some((clock, Stage::Dispatch));
+                let at = (clock, Stage::Verify);
+                let span = TraceSpan::link(trace, at, parent, Some(core), steps, halt);
+                push(trace, 0, true, span);
             }
-            KIND_SPAN_RESPOND => {
-                let trace = field_u64(event, "trace").unwrap_or(0);
-                push(
-                    trace,
-                    0,
-                    true,
-                    TraceSpan {
-                        id: span_id(trace, clock, STAGE_RESPOND),
-                        parent: span_id(trace, clock, STAGE_VERIFY),
-                        stage: STAGE_RESPOND,
-                        clock,
-                        entity: field_u64(event, "core").map_or(-1, |c| c as i64),
-                        cost: 0,
-                        note: format!(
-                            "{} ({})",
-                            field_str(event, "action").unwrap_or("?"),
-                            field_str(event, "level").unwrap_or("?")
-                        ),
-                    },
-                );
+            Span::Respond {
+                trace,
+                core,
+                action,
+                level,
+            } => {
+                let note = format!("{action} ({level})");
+                let parent = Some((clock, Stage::Verify));
+                let at = (clock, Stage::Respond);
+                let span = TraceSpan::link(trace, at, parent, Some(core), 0, note);
+                push(trace, 0, true, span);
             }
-            KIND_FLIGHT => {
-                // One remembered packet of the flagged flow: synthesize
-                // the chain it would have emitted, anchored at its own
-                // packet clock (`at`), not the detection clock.
-                let trace = field_u64(event, "trace").unwrap_or(0);
-                let flow = field_u64(event, "flow").unwrap_or(0);
-                let at = field_u64(event, "at").unwrap_or(clock);
-                let entity = field_u64(event, "core").map_or(-1, |c| c as i64);
-                push(
-                    trace,
-                    flow,
-                    false,
-                    TraceSpan {
-                        id: span_id(trace, at, STAGE_ADMISSION),
-                        parent: 0,
-                        stage: STAGE_ADMISSION,
-                        clock: at,
-                        entity,
-                        cost: field_u64(event, "delay").unwrap_or(0),
-                        note: "admitted".to_owned(),
-                    },
-                );
-                push(
-                    trace,
-                    flow,
-                    false,
-                    TraceSpan {
-                        id: span_id(trace, at, STAGE_DISPATCH),
-                        parent: span_id(trace, at, STAGE_ADMISSION),
-                        stage: STAGE_DISPATCH,
-                        clock: at,
-                        entity,
-                        cost: field_u64(event, "delay").unwrap_or(0),
-                        note: String::new(),
-                    },
-                );
-                push(
-                    trace,
-                    flow,
-                    false,
-                    TraceSpan {
-                        id: span_id(trace, at, STAGE_VERIFY),
-                        parent: span_id(trace, at, STAGE_DISPATCH),
-                        stage: STAGE_VERIFY,
-                        clock: at,
-                        entity,
-                        cost: field_u64(event, "steps").unwrap_or(0),
-                        note: field_str(event, "halt").unwrap_or("").to_owned(),
-                    },
-                );
+            Span::Flight {
+                trace,
+                core,
+                flow,
+                at,
+                delay,
+                steps,
+                halt,
+                ..
+            } => {
+                // One remembered packet of the flagged flow: the chain it
+                // would have emitted, anchored at its own packet clock
+                // (`at`), not the detection clock.
+                let mut link = |stage, parent: Option<Stage>, cost, note| {
+                    let parent = parent.map(|stage| (at, stage));
+                    let span = TraceSpan::link(trace, (at, stage), parent, Some(core), cost, note);
+                    push(trace, flow, false, span);
+                };
+                link(Stage::Admission, None, delay, "admitted");
+                link(Stage::Dispatch, Some(Stage::Admission), delay, "");
+                link(Stage::Verify, Some(Stage::Dispatch), steps, halt);
             }
-            KIND_SPAN_INSTALL => {
-                let trace = field_u64(event, "trace").unwrap_or(0);
-                let router = field_u64(event, "router").unwrap_or(0);
-                let relay = field_u64(event, "relay").unwrap_or(0);
+            Span::Install {
+                trace,
+                router,
+                relay,
+                cycles,
+                installed,
+            } => {
                 let flow = entity_flow("router", router);
-                let installed = field_u64(event, "installed").unwrap_or(0) == 1;
+                let operator_at = operator.map(|(clock, _)| (clock, Stage::Operator));
                 if let Some((op_clock, sequence)) = operator {
-                    push(
-                        trace,
-                        flow,
-                        true,
-                        TraceSpan {
-                            id: span_id(trace, op_clock, STAGE_OPERATOR),
-                            parent: 0,
-                            stage: STAGE_OPERATOR,
-                            clock: op_clock,
-                            entity: -1,
-                            cost: sequence,
-                            note: "update prepared".to_owned(),
-                        },
-                    );
+                    let at = (op_clock, Stage::Operator);
+                    let span = TraceSpan::link(trace, at, None, None, sequence, "update prepared");
+                    push(trace, flow, true, span);
                 }
+                let relay_at = relays.get(&relay).map(|&(clock, _)| (clock, Stage::Relay));
                 if let Some(&(relay_clock, attempts)) = relays.get(&relay) {
-                    push(
-                        trace,
-                        flow,
-                        true,
-                        TraceSpan {
-                            id: span_id(trace, relay_clock, STAGE_RELAY),
-                            parent: operator.map_or(0, |(c, _)| span_id(trace, c, STAGE_OPERATOR)),
-                            stage: STAGE_RELAY,
-                            clock: relay_clock,
-                            entity: relay as i64,
-                            cost: attempts,
-                            note: "synced".to_owned(),
-                        },
-                    );
+                    let at = (relay_clock, Stage::Relay);
+                    let span =
+                        TraceSpan::link(trace, at, operator_at, Some(relay), attempts, "synced");
+                    push(trace, flow, true, span);
                 }
-                push(
-                    trace,
-                    flow,
-                    true,
-                    TraceSpan {
-                        id: span_id(trace, clock, STAGE_INSTALL),
-                        parent: relays
-                            .get(&relay)
-                            .map_or(0, |&(c, _)| span_id(trace, c, STAGE_RELAY)),
-                        stage: STAGE_INSTALL,
-                        clock,
-                        entity: router as i64,
-                        cost: field_u64(event, "cycles").unwrap_or(0),
-                        note: if installed {
-                            "installed"
-                        } else {
-                            "quarantined"
-                        }
-                        .to_owned(),
-                    },
-                );
+                let note = if installed {
+                    "installed"
+                } else {
+                    "quarantined"
+                };
+                let at = (clock, Stage::Install);
+                let span = TraceSpan::link(trace, at, relay_at, Some(router), cycles, note);
+                push(trace, flow, true, span);
             }
-            _ => {}
+            Span::Operator { .. } | Span::Relay { .. } => {}
         }
     }
 
     let mut out: Vec<Trace> = traces
         .into_iter()
         .map(|(id, (flow, sampled, mut spans))| {
-            spans.sort_by_key(|s| (s.clock, stage_rank(s.stage)));
+            spans.sort_by_key(|s| (s.clock, s.stage));
             Trace {
                 id,
                 flow,
@@ -550,34 +504,37 @@ mod tests {
 
     #[test]
     fn span_ids_separate_stages_and_clocks() {
-        let a = span_id(9, 100, STAGE_VERIFY);
-        assert_eq!(a, span_id(9, 100, STAGE_VERIFY));
-        assert_ne!(a, span_id(9, 100, STAGE_DISPATCH));
-        assert_ne!(a, span_id(9, 101, STAGE_VERIFY));
-        assert_ne!(a, span_id(8, 100, STAGE_VERIFY));
+        let a = span_id(9, 100, Stage::Verify);
+        assert_eq!(a, span_id(9, 100, Stage::Verify));
+        assert_ne!(a, span_id(9, 100, Stage::Dispatch));
+        assert_ne!(a, span_id(9, 101, Stage::Verify));
+        assert_ne!(a, span_id(8, 100, Stage::Verify));
     }
 
     fn sampled_chain(trace: u64, flow: u64, clock: u64) -> Vec<Event> {
-        vec![
-            Event::new(KIND_SPAN_INGEST, clock)
-                .field("trace", trace)
-                .field("flow", flow),
-            Event::new(KIND_SPAN_ADMIT, clock)
-                .field("trace", trace)
-                .field("core", 3u64)
-                .field("delay", 2u64)
-                .field("admitted", true),
-            Event::new(KIND_SPAN_DISPATCH, clock)
-                .field("trace", trace)
-                .field("core", 3u64)
-                .field("qpos", 2u64),
-            Event::new(KIND_SPAN_VERIFY, clock)
-                .field("trace", trace)
-                .field("core", 3u64)
-                .field("steps", 57u64)
-                .field("blocks", 3u64)
-                .field("halt", "clean"),
+        [
+            Span::Ingest { trace, flow },
+            Span::Admit {
+                trace,
+                core: 3,
+                delay: 2,
+                admitted: true,
+            },
+            Span::Dispatch {
+                trace,
+                core: 3,
+                qpos: 2,
+            },
+            Span::Verify {
+                trace,
+                core: 3,
+                steps: 57,
+                blocks: 3,
+                halt: "clean",
+            },
         ]
+        .map(|span| span.event(clock))
+        .into()
     }
 
     #[test]
@@ -588,7 +545,7 @@ mod tests {
         let t = &traces[0];
         assert_eq!((t.id, t.flow, t.sampled), (0xABCD, 0xF10, true));
         assert_eq!(t.spans.len(), 4);
-        assert_eq!(t.spans[0].stage, STAGE_INGEST);
+        assert_eq!(t.spans[0].stage, Stage::Ingest);
         assert_eq!(t.spans[0].parent, 0);
         for pair in t.spans.windows(2) {
             assert_eq!(
@@ -601,30 +558,26 @@ mod tests {
     #[test]
     fn flight_promotion_builds_the_same_chain_shape() {
         let detection = 90u64;
+        let flight = |window_index, at, delay, steps, halt| Span::Flight {
+            trace: 7,
+            core: 1,
+            flow: 0xBEEF,
+            window_index,
+            at,
+            delay,
+            steps,
+            halt,
+        };
         let events = vec![
-            Event::new(KIND_FLIGHT, detection)
-                .field("trace", 7u64)
-                .field("core", 1u64)
-                .field("flow", 0xBEEFu64)
-                .field("window_index", 0u64)
-                .field("at", 80u64)
-                .field("delay", 1u64)
-                .field("steps", 33u64)
-                .field("halt", "clean"),
-            Event::new(KIND_FLIGHT, detection)
-                .field("trace", 7u64)
-                .field("core", 1u64)
-                .field("flow", 0xBEEFu64)
-                .field("window_index", 1u64)
-                .field("at", 85u64)
-                .field("delay", 0u64)
-                .field("steps", 12u64)
-                .field("halt", "violation"),
-            Event::new(KIND_SPAN_RESPOND, 85)
-                .field("trace", 7u64)
-                .field("core", 1u64)
-                .field("action", "quarantine")
-                .field("level", "high"),
+            flight(0, 80, 1, 33, "clean").event(detection),
+            flight(1, 85, 0, 12, "violation").event(detection),
+            Span::Respond {
+                trace: 7,
+                core: 1,
+                action: "quarantine",
+                level: "high",
+            }
+            .event(85),
         ];
         let traces = assemble_traces(&events);
         assert_eq!(traces.len(), 1);
@@ -633,10 +586,10 @@ mod tests {
         // Two packets × (admission, dispatch, verify) + one respond.
         assert_eq!(t.spans.len(), 7);
         let respond = t.spans.last().unwrap();
-        assert_eq!(respond.stage, STAGE_RESPOND);
+        assert_eq!(respond.stage, Stage::Respond);
         assert_eq!(
             respond.parent,
-            span_id(7, 85, STAGE_VERIFY),
+            span_id(7, 85, Stage::Verify),
             "respond links to the triggering packet's verify span"
         );
         // The chain reaches from admission to the graded response.
@@ -652,7 +605,12 @@ mod tests {
         }
         assert_eq!(
             stages,
-            vec![STAGE_RESPOND, STAGE_VERIFY, STAGE_DISPATCH, STAGE_ADMISSION]
+            vec![
+                Stage::Respond,
+                Stage::Verify,
+                Stage::Dispatch,
+                Stage::Admission
+            ]
         );
     }
 
@@ -661,27 +619,149 @@ mod tests {
         let tc = TraceContext::new(5, 1000);
         let trace = tc.trace_id(entity_flow("router", 2));
         let events = vec![
-            Event::new(KIND_SPAN_OPERATOR, 0).field("sequence", 4u64),
-            Event::new(KIND_SPAN_RELAY, 12)
-                .field("relay", 1u64)
-                .field("attempts", 12u64),
-            Event::new(KIND_SPAN_INSTALL, 30)
-                .field("trace", trace)
-                .field("router", 2u64)
-                .field("relay", 1u64)
-                .field("cycles", 1u64)
-                .field("installed", true),
+            Span::Operator { sequence: 4 }.event(0),
+            Span::Relay {
+                relay: 1,
+                attempts: 12,
+            }
+            .event(12),
+            Span::Install {
+                trace,
+                router: 2,
+                relay: 1,
+                cycles: 1,
+                installed: true,
+            }
+            .event(30),
         ];
         let traces = assemble_traces(&events);
         assert_eq!(traces.len(), 1);
         let spans = &traces[0].spans;
         assert_eq!(
             spans.iter().map(|s| s.stage).collect::<Vec<_>>(),
-            vec![STAGE_OPERATOR, STAGE_RELAY, STAGE_INSTALL]
+            vec![Stage::Operator, Stage::Relay, Stage::Install]
         );
         assert_eq!(spans[1].parent, spans[0].id);
         assert_eq!(spans[2].parent, spans[1].id);
         assert_eq!(traces[0].flow, entity_flow("router", 2));
+    }
+
+    /// One real line per span kind: eight from the event stream of
+    /// `sdmmon trace --quick`, and a dropped admission from a traced
+    /// stream over a tight ingress budget. They pin the kind, the keys and
+    /// the key order of every span event.
+    #[test]
+    fn span_events_render_the_golden_lines() {
+        let golden = [
+            (
+                0,
+                Span::Ingest {
+                    trace: 5490816253411230622,
+                    flow: 10126079400601988657,
+                }
+                .event(36),
+                r#"{"schema":"sdmmon-events-v1","seq":0,"clock":36,"kind":"span.ingest","trace":5490816253411230622,"flow":10126079400601988657}"#,
+            ),
+            (
+                1,
+                Span::Admit {
+                    trace: 5490816253411230622,
+                    core: 1,
+                    delay: 0,
+                    admitted: true,
+                }
+                .event(36),
+                r#"{"schema":"sdmmon-events-v1","seq":1,"clock":36,"kind":"span.admit","trace":5490816253411230622,"core":1,"delay":0,"admitted":true}"#,
+            ),
+            (
+                49,
+                Span::Admit {
+                    trace: 16524381400202838959,
+                    core: 2,
+                    delay: 0,
+                    admitted: false,
+                }
+                .event(24),
+                r#"{"schema":"sdmmon-events-v1","seq":49,"clock":24,"kind":"span.admit","trace":16524381400202838959,"core":2,"delay":0,"admitted":false}"#,
+            ),
+            (
+                13,
+                Span::Dispatch {
+                    trace: 5490816253411230622,
+                    core: 1,
+                    qpos: 0,
+                }
+                .event(36),
+                r#"{"schema":"sdmmon-events-v1","seq":13,"clock":36,"kind":"span.dispatch","trace":5490816253411230622,"core":1,"qpos":0}"#,
+            ),
+            (
+                14,
+                Span::Verify {
+                    trace: 5490816253411230622,
+                    core: 1,
+                    steps: 187,
+                    blocks: 11,
+                    halt: "clean",
+                }
+                .event(36),
+                r#"{"schema":"sdmmon-events-v1","seq":14,"clock":36,"kind":"span.verify","trace":5490816253411230622,"core":1,"steps":187,"blocks":11,"halt":"clean"}"#,
+            ),
+            (
+                20,
+                Span::Respond {
+                    trace: 12215908019753396912,
+                    core: 2,
+                    action: "redeploy",
+                    level: "none",
+                }
+                .event(83),
+                r#"{"schema":"sdmmon-events-v1","seq":20,"clock":83,"kind":"span.respond","trace":12215908019753396912,"core":2,"action":"redeploy","level":"none"}"#,
+            ),
+            (
+                17,
+                Span::Flight {
+                    trace: 12215908019753396912,
+                    core: 2,
+                    flow: 15843102476613556434,
+                    window_index: 0,
+                    at: 62,
+                    delay: 5,
+                    steps: 460,
+                    halt: "violation",
+                }
+                .event(62),
+                r#"{"schema":"sdmmon-events-v1","seq":17,"clock":62,"kind":"supervisor.flight","trace":12215908019753396912,"core":2,"flow":15843102476613556434,"window_index":0,"at":62,"delay":5,"steps":460,"halt":"violation"}"#,
+            ),
+            (
+                128,
+                Span::Operator { sequence: 1 }.event(0),
+                r#"{"schema":"sdmmon-events-v1","seq":128,"clock":0,"kind":"span.operator","sequence":1}"#,
+            ),
+            (
+                130,
+                Span::Relay {
+                    relay: 0,
+                    attempts: 5,
+                }
+                .event(5),
+                r#"{"schema":"sdmmon-events-v1","seq":130,"clock":5,"kind":"span.relay","relay":0,"attempts":5}"#,
+            ),
+            (
+                134,
+                Span::Install {
+                    trace: 4890158957268373608,
+                    router: 0,
+                    relay: 0,
+                    cycles: 1,
+                    installed: true,
+                }
+                .event(18),
+                r#"{"schema":"sdmmon-events-v1","seq":134,"clock":18,"kind":"span.install","trace":4890158957268373608,"router":0,"relay":0,"cycles":1,"installed":true}"#,
+            ),
+        ];
+        for (seq, event, line) in golden {
+            assert_eq!(event.render_line(seq), line);
+        }
     }
 
     #[test]

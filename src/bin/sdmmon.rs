@@ -556,7 +556,6 @@ fn event_field(event: &sdmmon::obs::Event, key: &str) -> String {
         .find(|(k, _)| *k == key)
         .map(|(_, v)| match v {
             Value::U64(n) => n.to_string(),
-            Value::I64(n) => n.to_string(),
             Value::Str(s) => s.clone(),
             Value::Bool(b) => b.to_string(),
         })
@@ -1430,10 +1429,11 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
             t.id, t.flow, t.sampled
         ));
         for (si, s) in t.spans.iter().enumerate() {
+            let stage = s.stage.name();
             json.push_str(&format!(
-                "      {{\"id\": {}, \"parent\": {}, \"stage\": \"{}\", \"clock\": {}, \
+                "      {{\"id\": {}, \"parent\": {}, \"stage\": \"{stage}\", \"clock\": {}, \
                  \"entity\": {}, \"cost\": {}, \"note\": ",
-                s.id, s.parent, s.stage, s.clock, s.entity, s.cost
+                s.id, s.parent, s.clock, s.entity, s.cost
             ));
             write_json_string(&mut json, &s.note);
             json.push('}');
@@ -1467,7 +1467,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
                     "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
                      \"dur\": {}, \"pid\": {}, \"tid\": {}, \"args\": {{\"trace\": {}, \
                      \"note\": ",
-                    s.stage,
+                    s.stage.name(),
                     if t.sampled { "sampled" } else { "flight" },
                     s.clock,
                     s.cost.max(1),

@@ -255,6 +255,29 @@ fn stream_quick_replays_byte_identically_and_balances_the_books() {
     assert!(dropped > 0, "{text}");
 }
 
+/// Past about 30 rounds the hijack scenario has quarantined every core
+/// (its ladder never paroles). `stream` then drops the rounds no core can
+/// take and exits 0; `trace`, whose artifact needs a drop-free stream,
+/// reports the drops as a processing error (exit 2). Neither panics.
+#[test]
+fn streams_past_full_quarantine_exit_cleanly() {
+    let out = sdmmon()
+        .args(["stream", "--rounds", "200", "--out"])
+        .arg(write_temp("stream-long.json", ""))
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let out = sdmmon()
+        .args(["trace", "--quick", "--rounds", "40", "--out"])
+        .arg(write_temp("trace-long.json", ""))
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("must not drop at admission"), "{stderr}");
+}
+
 #[test]
 fn trace_quick_replays_byte_identically_across_runs_and_shard_counts() {
     let run = |name: &str, shards: &str| -> Vec<u8> {

@@ -78,3 +78,70 @@ fn same_seed_same_traffic_outcomes() {
     };
     assert_eq!(run(), run());
 }
+
+/// The hijack stream runs long enough for its permanent quarantines
+/// (`SupervisorPolicy::ladder(2, 2)` never paroles) to take every core.
+/// From then on each round admits nothing instead of panicking, the
+/// admission books balance, and the sharded engine still equals its
+/// serial oracle at every shard count.
+#[test]
+fn stream_past_full_quarantine_drops_and_matches_the_oracle() {
+    use sdmmon::bench::hijack::HijackScenario;
+    use sdmmon::npu::np::StreamConfig;
+    use sdmmon::obs::{Event, EventBus, Value};
+    use std::sync::Arc;
+
+    let scenario = HijackScenario::new(0xBE7C_000A, 200);
+    // Above the largest round, so every drop is a round with no core.
+    let cfg = StreamConfig {
+        shard_capacity: 512,
+    };
+    for shards in [1, 2, 4, 8] {
+        let run = |serial: bool| {
+            let bus = Arc::new(EventBus::new());
+            let mut np = scenario.np(shards);
+            np.set_event_bus(Some(bus.clone()));
+            let out = if serial {
+                np.process_stream_serial(&scenario.rounds, &cfg)
+            } else {
+                np.process_stream(&scenario.rounds, &cfg)
+            };
+            // `np.batch` is telemetry of the sharded path only.
+            let events: Vec<Event> = bus
+                .take()
+                .into_iter()
+                .filter(|e| e.kind != "np.batch")
+                .collect();
+            (out, np.stats(), events)
+        };
+        let (streamed, stats, events) = run(false);
+        let report = streamed.report;
+        assert_eq!(
+            report.offered,
+            report.admitted + report.dropped,
+            "{shards} shards: {report:?}"
+        );
+        assert!(
+            report.dropped > 0,
+            "{shards} shards: no round lost every core"
+        );
+        assert_eq!(stats.processed, report.admitted, "{shards} shards");
+        assert_eq!(stats.quarantined_cores, 8, "{shards} shards");
+        let refused: u64 = events
+            .iter()
+            .filter(|e| e.kind == "stream.no_active_core")
+            .map(|e| match e.fields[..] {
+                [("dropped", Value::U64(n))] => n,
+                ref other => panic!("{other:?}"),
+            })
+            .sum();
+        assert_eq!(refused, report.dropped, "{shards} shards");
+        let none = streamed.outcomes.iter().filter(|o| o.is_none()).count();
+        assert_eq!(none as u64, report.dropped, "{shards} shards");
+
+        let (want, want_stats, want_events) = run(true);
+        assert_eq!(streamed.outcomes, want.outcomes, "{shards} shards");
+        assert_eq!(stats, want_stats, "{shards} shards");
+        assert_eq!(events, want_events, "{shards} shards");
+    }
+}

@@ -15,12 +15,9 @@ use sdmmon::npu::cpu::NullObserver;
 use sdmmon::npu::np::{NetworkProcessor, StreamConfig};
 use sdmmon::npu::programs::{self, testing};
 use sdmmon::npu::supervisor::SupervisorPolicy;
-use sdmmon::obs::trace::{
-    STAGE_ADMISSION, STAGE_DISPATCH, STAGE_INGEST, STAGE_RESPOND, STAGE_VERIFY,
-};
 use sdmmon::obs::{
-    assemble_traces, validate_event_line, Event, EventBus, StreamValidator, TraceContext,
-    EVENTS_SCHEMA,
+    assemble_traces, validate_event_line, Event, EventBus, Stage, StreamValidator, Trace,
+    TraceContext, EVENTS_SCHEMA,
 };
 use sdmmon::testkit::{run_campaign, CampaignConfig};
 use sdmmon_rng::{Rng, SeedableRng, StdRng};
@@ -173,9 +170,38 @@ fn traced_stream_events(seed: u64, shards: usize, per_mille: u16) -> Vec<Event> 
 fn trace_kinds(events: &[Event]) -> Vec<Event> {
     events
         .iter()
-        .filter(|e| e.kind.starts_with("span.") || e.kind == sdmmon::obs::trace::KIND_FLIGHT)
+        .filter(|e| e.span.is_some())
         .cloned()
         .collect()
+}
+
+/// Checks the values a renamed or missing span key would zero: every
+/// admission, dispatch, verify and respond span names its core, every
+/// verify span retired instructions and halted with a known label, and
+/// every respond note names an action and a level.
+fn assert_span_values(traces: &[Trace]) {
+    for span in traces.iter().flat_map(|t| &t.spans) {
+        if [
+            Stage::Admission,
+            Stage::Dispatch,
+            Stage::Verify,
+            Stage::Respond,
+        ]
+        .contains(&span.stage)
+        {
+            assert!(span.entity >= 0, "{span:?}");
+        }
+        if span.stage == Stage::Verify {
+            assert!(span.cost > 0, "{span:?}");
+            assert!(
+                ["clean", "violation", "fault"].contains(&span.note.as_str()),
+                "{span:?}"
+            );
+        }
+        if span.stage == Stage::Respond {
+            assert!(!span.note.contains('?'), "{span:?}");
+        }
+    }
 }
 
 #[test]
@@ -192,7 +218,9 @@ fn trace_span_stream_is_identical_across_shard_counts() {
         }
         // And the assembled artifact view agrees with itself on replay.
         let replay = trace_kinds(&traced_stream_events(seed, 1, 200));
-        assert_eq!(assemble_traces(&one), assemble_traces(&replay));
+        let traces = assemble_traces(&one);
+        assert_eq!(traces, assemble_traces(&replay));
+        assert_span_values(&traces);
     }
 }
 
@@ -206,22 +234,28 @@ fn flight_recorder_promotes_hijacked_flow_to_full_trace() {
         !traces.is_empty(),
         "hijack burst must promote at least one flow"
     );
+    assert_span_values(&traces);
     let flight = traces
         .iter()
-        .find(|t| t.spans.iter().any(|s| s.stage == STAGE_RESPOND))
+        .find(|t| t.spans.iter().any(|s| s.stage == Stage::Respond))
         .expect("a promoted trace must reach the graded response");
     assert!(!flight.sampled, "promotion is not sampling");
     // The causal chain runs from admission through dispatch and
     // verification to the graded response, with every parent resolving to
     // another span of the same trace.
-    for stage in [STAGE_ADMISSION, STAGE_DISPATCH, STAGE_VERIFY, STAGE_RESPOND] {
+    for stage in [
+        Stage::Admission,
+        Stage::Dispatch,
+        Stage::Verify,
+        Stage::Respond,
+    ] {
         assert!(
             flight.spans.iter().any(|s| s.stage == stage),
-            "promoted trace missing {stage}: {flight:?}"
+            "promoted trace missing {stage:?}: {flight:?}"
         );
     }
     for span in &flight.spans {
-        if span.stage == STAGE_INGEST || span.stage == STAGE_ADMISSION {
+        if span.stage == Stage::Ingest || span.stage == Stage::Admission {
             continue; // chain roots
         }
         assert!(

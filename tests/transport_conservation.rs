@@ -5,7 +5,8 @@
 //! own attempt count, and on the per-router path the deploy records book
 //! every attempt and integrity restart, downloads that gave up included.
 //! The relay-tree push is also amortized: one shared package, signed once,
-//! and one key wrap per router. This file holds a single test, which runs
+//! and one key wrap per router, and a traced push counts one `trace_spans`
+//! per span event it records. This file holds a single test, which runs
 //! in its own process, so the global metrics registry's counts are exact.
 
 use sdmmon::core::distrib::{deploy_fleet, FleetDeployConfig};
@@ -16,7 +17,7 @@ use sdmmon::net::download::RetryPolicy;
 use sdmmon::net::resilience::{FlakyServer, LossyChannel, OutageWindow};
 use sdmmon::npu::programs;
 use sdmmon::npu::supervisor::SupervisorPolicy;
-use sdmmon::obs::{metrics, Counter};
+use sdmmon::obs::{metrics, Counter, EventBus, TraceContext};
 use sdmmon_rng::{RngCore, SeedableRng, StdRng};
 
 /// Loss, corruption and stall on one link.
@@ -128,7 +129,10 @@ fn client_attempts_match_server_attempts_on_both_deploy_paths() {
             blackhole_router: Some(5),
             ..FleetDeployConfig::default()
         };
-        let report = deploy_fleet(&config, &program, seed, None).expect("deploy");
+        // One seed runs on a traced bus; tracing must not move the books.
+        let bus = EventBus::traced(TraceContext::new(seed, 1000));
+        let traced = (seed == 7).then_some(&bus);
+        let report = deploy_fleet(&config, &program, seed, traced).expect("deploy");
         let (attempts, restarts) = client_books();
         assert!(restarts > 0, "seed {seed}: no integrity restart exercised");
         assert_eq!(
@@ -145,5 +149,8 @@ fn client_attempts_match_server_attempts_on_both_deploy_paths() {
         assert_eq!(count(Counter::FleetUpdatesPrepared), 1, "seed {seed}");
         assert_eq!(count(Counter::FleetKeyWraps), routers, "seed {seed}");
         assert_eq!(count(Counter::CryptoRsaWrap), routers, "seed {seed}");
+        let spans = bus.take().iter().filter(|e| e.span.is_some()).count() as u64;
+        assert_eq!(spans > 0, traced.is_some(), "seed {seed}");
+        assert_eq!(count(Counter::TraceSpans), spans, "seed {seed}");
     }
 }
