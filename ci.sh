@@ -20,7 +20,11 @@
 # seeded 1k-router fleet deploy smoke (byte-identical replay), and a
 # short traced perfbench run per data-plane workload and of fleet-10k
 # (every pass checked against the serial oracles or a phase-by-phase
-# replay; see perfbench/README.md,
+# replay, and the seed-1 logical counts pinned: retries, sections and
+# egress of the fleet, recoveries, drops and instructions per packet of
+# the data plane). The test tiers include a counting-allocator budget
+# (tests/alloc_budget.rs: bytes per added router of a fleet deploy, bytes
+# of an NP rebuild); see perfbench/README.md,
 # docs/TESTKIT.md, docs/PERF.md, docs/OBSERVABILITY.md,
 # docs/THREAT_RESPONSE.md, and docs/RESILIENCE.md §7).
 set -eux
@@ -308,3 +312,38 @@ for workload in fwd-bulk hijack-mix fleet-10k; do
         > "target/ci-perfbench-$workload.txt"
     tail -n 1 "target/ci-perfbench-$workload.txt" | grep -q '"correct": true'
 done
+# The smoke's logical counts are functions of the code and the seed, not
+# of the host: pin the seed-1 figures, so a change that moves a retry, a
+# fetched section, a recovery or a retired instruction fails here even
+# when its outputs still match the oracles of its own build.
+python3 - target <<'PYEOF'
+import json, sys
+pins = {
+    "fleet-10k": {
+        "net.download.attempts": 83465,
+        "core.distrib.sections_fetched": 40048,
+        "core.distrib.origin_egress_bytes": 339120,
+        "core.distrib.relay_egress_bytes": 11950000,
+        "fail_rate": 0,
+    },
+    "hijack-mix": {
+        "npu.np.recoveries": 1990,
+        "npu.np.redeploys": 287,
+        "npu.np.quarantines": 212,
+        "npu.engine.dropped": 1903,
+        "npu.core.instr_per_pkt": 198.318,
+        "monitor.full_blocks_per_pkt": 11.744,
+    },
+    "fwd-bulk": {
+        "npu.core.instr_per_pkt": 185,
+        "monitor.full_blocks_per_pkt": 11,
+    },
+}
+for workload, expected in pins.items():
+    path = f"{sys.argv[1]}/ci-perfbench-{workload}.txt"
+    metrics = json.loads(open(path).read().splitlines()[-1])["metrics"]
+    for name, want in expected.items():
+        got = metrics[name]["value"]
+        assert round(got, 3) == want, (workload, name, got, want)
+print("perfbench counts ok")
+PYEOF

@@ -1220,6 +1220,29 @@ mod tests {
     }
 
     #[test]
+    fn fleet_cipher_sections_decrypt_to_the_payload() {
+        // The install path's AES round trip on a real update: every
+        // section decrypts under the package key, the concatenation is the
+        // signed payload, and re-encrypting it gives the same sections.
+        let mut w = world(22);
+        let program = programs::ipv4_cm().unwrap();
+        let update = w
+            .operator
+            .prepare_fleet_update(&program, &mut w.rng)
+            .unwrap();
+        let aes = Aes::new(&update.sym_key).unwrap();
+        let mut payload = Vec::new();
+        for section in update.cipher_sections() {
+            payload.extend_from_slice(&aes.decrypt_cbc(section).unwrap());
+        }
+        assert_eq!(payload, update.payload);
+        assert_eq!(
+            encrypt_segments(&update.sym_key, &payload).unwrap(),
+            update.cipher_sections()
+        );
+    }
+
+    #[test]
     fn fleet_successor_changes_only_trailing_sections() {
         // A pure sequence bump re-encrypts to identical ciphertext for
         // every section except the last (the sequence lives at the end of

@@ -3,6 +3,14 @@
 //! The SDMMon installation protocol encrypts the package (binary ‖
 //! monitoring graph ‖ hash parameter) under a random AES key; this module
 //! provides the cipher the control processor uses to decrypt it.
+//!
+//! Decryption runs the equivalent inverse cipher (FIPS 197 §5.3.5): a
+//! decryption key schedule with InvMixColumns folded into the middle round
+//! keys, and middle rounds of four word-table lookups per column (tables
+//! built from the S-box at compile time). Encryption stays the byte-wise
+//! cipher of §5.1; it runs once per package. Like the S-box lookups, the
+//! table lookups index memory by secret bytes, so neither path is
+//! constant-time: the simulator makes no timing side-channel claim.
 
 use crate::CryptoError;
 use sdmmon_rng::RngCore;
@@ -27,23 +35,41 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// AES inverse S-box, computed from [`SBOX`] at first use.
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
+/// AES inverse S-box, the inverse permutation of [`SBOX`].
+const INV_SBOX: [u8; 256] = {
+    let mut inv = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        inv[SBOX[i] as usize] = i as u8;
+        i += 1;
+    }
+    inv
+};
+
+/// Round tables of the equivalent inverse cipher. `TD[0][x]` is
+/// InvMixColumns of the column (InvSubBytes(x), 0, 0, 0) as a big-endian
+/// word; `TD[r]` is `TD[0]` rotated right by 8·r bits, the same for a byte
+/// in row r. One middle round of a column is then four lookups and a
+/// round key.
+static TD: [[u32; 256]; 4] = {
+    let mut td = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = INV_SBOX[x];
+        let w = u32::from_be_bytes([gmul(s, 14), gmul(s, 9), gmul(s, 13), gmul(s, 11)]);
+        td[0][x] = w;
+        td[1][x] = w.rotate_right(8);
+        td[2][x] = w.rotate_right(16);
+        td[3][x] = w.rotate_right(24);
+        x += 1;
+    }
+    td
+};
 
 /// Multiplication in GF(2⁸) with the AES polynomial x⁸+x⁴+x³+x+1.
-fn gmul(mut a: u8, mut b: u8) -> u8 {
+const fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
-    for _ in 0..8 {
+    while b != 0 {
         if b & 1 != 0 {
             p ^= a;
         }
@@ -55,6 +81,18 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
         b >>= 1;
     }
     p
+}
+
+/// Byte `row` (0 = most significant) of a big-endian column word.
+#[inline]
+fn byte(word: u32, row: usize) -> usize {
+    (word >> (24 - 8 * row)) as u8 as usize
+}
+
+/// InvMixColumns of one column word. `TD` composes InvSubBytes, so each
+/// byte goes through [`SBOX`] first.
+fn inv_mix_word(w: u32) -> u32 {
+    (0..4).fold(0, |acc, row| acc ^ TD[row][SBOX[byte(w, row)] as usize])
 }
 
 /// AES key size variants supported by the cipher.
@@ -108,6 +146,10 @@ impl KeySize {
 #[derive(Debug, Clone)]
 pub struct Aes {
     round_keys: Vec<[u8; 16]>,
+    /// The equivalent inverse cipher's schedule: `round_keys` in reverse
+    /// order as column words, with InvMixColumns applied to all but the
+    /// first and the last.
+    inv_round_keys: Vec<[u32; 4]>,
     rounds: usize,
 }
 
@@ -167,7 +209,26 @@ impl Aes {
                 rk
             })
             .collect();
-        Ok(Aes { round_keys, rounds })
+        let inv_round_keys = w
+            .chunks_exact(4)
+            .rev()
+            .enumerate()
+            .map(|(i, c)| {
+                std::array::from_fn(|j| {
+                    let word = u32::from_be_bytes(c[j]);
+                    if i == 0 || i == rounds {
+                        word
+                    } else {
+                        inv_mix_word(word)
+                    }
+                })
+            })
+            .collect();
+        Ok(Aes {
+            round_keys,
+            inv_round_keys,
+            rounds,
+        })
     }
 
     /// Encrypts one 16-byte block.
@@ -186,21 +247,32 @@ impl Aes {
         state
     }
 
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, mut state: [u8; 16]) -> [u8; 16] {
-        let inv = inv_sbox();
-        xor_block(&mut state, &self.round_keys[self.rounds]);
-        for round in (1..=self.rounds).rev() {
-            inv_shift_rows(&mut state);
-            for b in &mut state {
-                *b = inv[*b as usize];
-            }
-            xor_block(&mut state, &self.round_keys[round - 1]);
-            if round != 1 {
-                inv_mix_columns(&mut state);
-            }
+    /// Decrypts one 16-byte block through the equivalent inverse cipher:
+    /// the state is four big-endian column words, and InvShiftRows is the
+    /// choice of source column for each row's byte.
+    pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        let keys = &self.inv_round_keys;
+        let mut s: [u32; 4] = std::array::from_fn(|c| {
+            u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("column")) ^ keys[0][c]
+        });
+        for key in &keys[1..self.rounds] {
+            s = std::array::from_fn(|c| {
+                TD[0][byte(s[c], 0)]
+                    ^ TD[1][byte(s[(c + 3) % 4], 1)]
+                    ^ TD[2][byte(s[(c + 2) % 4], 2)]
+                    ^ TD[3][byte(s[(c + 1) % 4], 3)]
+                    ^ key[c]
+            });
         }
-        state
+        let last = &keys[self.rounds];
+        let mut out = [0u8; 16];
+        for c in 0..4 {
+            let column = u32::from_be_bytes(std::array::from_fn(|row| {
+                INV_SBOX[byte(s[(c + 4 - row) % 4], row)]
+            }));
+            out[4 * c..4 * c + 4].copy_from_slice(&(column ^ last[c]).to_be_bytes());
+        }
+        out
     }
 
     /// Encrypts `plaintext` in CBC mode with PKCS#7 padding, prepending the
@@ -311,15 +383,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-        }
-    }
-}
-
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col: [u8; 4] = state[4 * c..4 * c + 4].try_into().expect("column");
@@ -327,16 +390,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
         state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col: [u8; 4] = state[4 * c..4 * c + 4].try_into().expect("column");
-        state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        state[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        state[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        state[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -359,6 +412,127 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
             .collect()
+    }
+
+    /// The byte-wise inverse cipher (FIPS 197 §5.3): the oracle of the
+    /// table-driven [`Aes::decrypt_block`].
+    fn decrypt_block_bytewise(aes: &Aes, mut state: [u8; 16]) -> [u8; 16] {
+        xor_block(&mut state, &aes.round_keys[aes.rounds]);
+        for round in (1..=aes.rounds).rev() {
+            inv_shift_rows(&mut state);
+            for b in &mut state {
+                *b = INV_SBOX[*b as usize];
+            }
+            xor_block(&mut state, &aes.round_keys[round - 1]);
+            if round != 1 {
+                inv_mix_columns(&mut state);
+            }
+        }
+        state
+    }
+
+    fn inv_shift_rows(state: &mut [u8; 16]) {
+        let s = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
+            }
+        }
+    }
+
+    fn inv_mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col: [u8; 4] = state[4 * c..4 * c + 4].try_into().expect("column");
+            state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
+            state[4 * c + 1] =
+                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
+            state[4 * c + 2] =
+                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
+            state[4 * c + 3] =
+                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
+        }
+    }
+
+    /// The table path equals the byte-wise inverse cipher on seeded
+    /// random keys and blocks of every key size, and inverts encryption.
+    #[test]
+    fn table_decrypt_matches_bytewise_inverse_cipher() {
+        let mut rng = sdmmon_rng::StdRng::seed_from_u64(0xAE5_0027);
+        for key_len in [16usize, 24, 32] {
+            for _ in 0..1024 {
+                let mut key = vec![0u8; key_len];
+                rng.fill_bytes(&mut key);
+                let aes = Aes::new(&key).unwrap();
+                for _ in 0..4 {
+                    let mut block = [0u8; 16];
+                    rng.fill_bytes(&mut block);
+                    let plain = aes.decrypt_block(block);
+                    assert_eq!(
+                        plain,
+                        decrypt_block_bytewise(&aes, block),
+                        "key {key:02x?} block {block:02x?}"
+                    );
+                    assert_eq!(aes.encrypt_block(plain), block);
+                }
+            }
+        }
+    }
+
+    /// NIST SP 800-38A F.2.2, F.2.4 and F.2.6 (CBC-AES128/192/256
+    /// decrypt), chained through [`Aes::decrypt_block`]: the vectors carry
+    /// no padding, so [`Aes::decrypt_cbc`] cannot read them whole.
+    #[test]
+    fn sp800_38a_cbc_decrypt_vectors() {
+        let iv = from_hex("000102030405060708090a0b0c0d0e0f");
+        let plaintext = from_hex(concat!(
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ));
+        let vectors = [
+            (
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                concat!(
+                    "7649abac8119b246cee98e9b12e9197d",
+                    "5086cb9b507219ee95db113a917678b2",
+                    "73bed6b8e3c1743b7116e69e22229516",
+                    "3ff1caa1681fac09120eca307586e1a7",
+                ),
+            ),
+            (
+                "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+                concat!(
+                    "4f021db243bc633d7178183a9fa071e8",
+                    "b4d9ada9ad7dedf4e5e738763f69145a",
+                    "571b242012fb7ae07fa9baac3df102e0",
+                    "08b0e27988598881d920a9e64f5615cd",
+                ),
+            ),
+            (
+                "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+                concat!(
+                    "f58c4c04d6e5f1ba779eabfb5f7bfbd6",
+                    "9cfc4e967edb808d679f777bc6702c7d",
+                    "39f23369a9d9bacfa530e26304231461",
+                    "b2eb05e2c39be9fcda6c19078c6a9d1b",
+                ),
+            ),
+        ];
+        for (key, ciphertext) in vectors {
+            let aes = Aes::new(&from_hex(key)).unwrap();
+            let ciphertext = from_hex(ciphertext);
+            let mut prev: [u8; 16] = iv.clone().try_into().unwrap();
+            let mut out = Vec::new();
+            for chunk in ciphertext.chunks_exact(BLOCK) {
+                let block: [u8; 16] = chunk.try_into().unwrap();
+                let mut plain = aes.decrypt_block(block);
+                xor_block(&mut plain, &prev);
+                out.extend_from_slice(&plain);
+                prev = block;
+            }
+            assert_eq!(out, plaintext, "key {key}");
+        }
     }
 
     #[test]

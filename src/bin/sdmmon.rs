@@ -1567,7 +1567,16 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     }
     let split = packets.len() / 2;
     np.process_batch(&packets[..split]);
-    np.process_batch(&packets[split..]);
+    // The first batch can quarantine every core (with `--cores 1` at the
+    // default seed it does); the second batch is then not dispatched.
+    if np.active_cores().is_empty() {
+        emitln!(
+            "second batch of {} packets not dispatched: no core is active",
+            packets.len() - split
+        )?;
+    } else {
+        np.process_batch(&packets[split..]);
+    }
 
     let stats = np.stats();
     emitln!(

@@ -416,6 +416,25 @@ fn deploy_with_one_core_per_router_exits_cleanly() {
 }
 
 #[test]
+fn stats_with_one_core_exits_cleanly() {
+    // The first batch quarantines the only core; the second batch is not
+    // dispatched, and the stats still print.
+    let out = sdmmon()
+        .args(["stats", "--cores", "1"])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("not dispatched: no core is active"), "{text}");
+    assert!(text.contains("np stats: "), "{text}");
+}
+
+#[test]
 fn tree_deploy_counts_one_prepared_update_per_push() {
     // The subprocess owns its metrics registry, so the count is exact.
     let metrics = write_temp("tree-metrics.json", "");
